@@ -135,12 +135,19 @@ var execInstBounds = []uint64{1 << 10, 1 << 13, 1 << 16, 1 << 19, 1 << 22}
 type Fuzzer struct {
 	cfg        Config
 	rng        *rand.Rand
-	cover      map[uint32]struct{}
 	newCov     int
 	leaders    map[uint32]struct{} // static leader set from cfg.ReachableLeaders
 	covLeaders int
 	corpus     [][]byte
 	seen       map[string]bool
+
+	// cover is the set of covered TB entry PCs: one bit per instruction
+	// word of guest RAM, indexed by pc>>2, so the per-block hook is one bit
+	// test. The translator only enters aligned in-RAM PCs, so every hooked
+	// PC has a bit. It lives on the Fuzzer so a second Run keeps counting
+	// only blocks new to the campaign.
+	cover      []uint64
+	coverCount int
 
 	// Comparison-operand dictionary (byte frontend): byte-sized operands of
 	// failed equality branches, in discovery order so dictionary picks stay
@@ -179,7 +186,7 @@ func New(cfg Config) (*Fuzzer, error) {
 	f := &Fuzzer{
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		cover:   make(map[uint32]struct{}),
+		cover:   make([]uint64, (cfg.Instance.Machine.RAMSize()/4+63)/64),
 		seen:    make(map[string]bool),
 		metrics: obs.NewRegistry(),
 	}
@@ -204,15 +211,7 @@ func (f *Fuzzer) Run() *Result {
 	inst := f.cfg.Instance
 
 	prevHook := inst.Machine.CoverageHook
-	inst.Machine.CoverageHook = func(pc uint32) {
-		if _, ok := f.cover[pc]; !ok {
-			f.cover[pc] = struct{}{}
-			f.newCov++
-			if _, ok := f.leaders[pc]; ok {
-				f.covLeaders++
-			}
-		}
-	}
+	inst.Machine.CoverageHook = f.coverPC
 	defer func() { inst.Machine.CoverageHook = prevHook }()
 
 	if f.cfg.Frontend == FrontendBytes {
@@ -241,7 +240,7 @@ func (f *Fuzzer) Run() *Result {
 		}
 		sampleFill = func(s *timeline.Sample) {
 			s.Execs = uint64(execs)
-			s.CoverBlocks = uint64(len(f.cover))
+			s.CoverBlocks = uint64(f.coverCount)
 			s.CorpusSize = uint64(len(f.corpus))
 			s.Found = uint64(len(res.Crashes))
 			d := inst.Machine.Counters().Sub(baseCtr)
@@ -340,12 +339,27 @@ func (f *Fuzzer) Run() *Result {
 	res.Stats.CorpusSize = len(f.corpus)
 	f.mCorpus.Set(int64(len(f.corpus)))
 	res.Metrics = f.metrics
-	res.Stats.CoverBlocks = len(f.cover)
+	res.Stats.CoverBlocks = f.coverCount
 	res.Stats.CoverLeaders = f.covLeaders
 	res.Stats.ReachableBlocks = len(f.cfg.ReachableLeaders)
 	res.Stats.ProvenAccesses = f.cfg.ProvenAccesses
 	res.Stats.ReachableAccesses = f.cfg.ReachableAccesses
 	return res
+}
+
+// coverPC is the coverage hook: it marks a translation-block entry PC as
+// covered and counts it if it is new to the campaign.
+func (f *Fuzzer) coverPC(pc uint32) {
+	w, bit := pc>>8, uint64(1)<<(pc>>2&63)
+	if f.cover[w]&bit != 0 {
+		return
+	}
+	f.cover[w] |= bit
+	f.coverCount++
+	f.newCov++
+	if _, ok := f.leaders[pc]; ok {
+		f.covLeaders++
+	}
 }
 
 // harvest records a byte-sized comparison operand into the dictionary.

@@ -185,3 +185,37 @@ func TestFuzzerConfigValidation(t *testing.T) {
 		t.Error("missing syscall table size accepted")
 	}
 }
+
+// TestCoverageBitsetEdges: the first and last instruction words the
+// translator can enter each count once, and a second Run on the same
+// Fuzzer does not count blocks the first one already covered.
+func TestCoverageBitsetEdges(t *testing.T) {
+	fw, err := firmware.Build("TP-Link WDR-7660")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := bootedInstance(t, fw.Image, []string{"kasan"})
+	last := inst.Machine.RAMSize() - 4
+	f, err := New(Config{
+		Instance: inst, Frontend: FrontendBytes, Seeds: fw.Seeds,
+		MaxExecs: len(fw.Seeds), ReachableLeaders: []uint32{emu.NullGuardSize},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		f.coverPC(emu.NullGuardSize)
+		f.coverPC(last)
+	}
+	if f.coverCount != 2 || f.newCov != 2 || f.covLeaders != 1 {
+		t.Fatalf("edge PCs: count=%d new=%d leaders=%d, want 2/2/1", f.coverCount, f.newCov, f.covLeaders)
+	}
+
+	first := f.Run().Stats.CoverBlocks
+	if first <= 2 {
+		t.Fatalf("seed replay covered %d blocks, want guest coverage on top of the 2 edge PCs", first)
+	}
+	if second := f.Run().Stats.CoverBlocks; second != first {
+		t.Errorf("re-running the same seeds moved coverage %d -> %d", first, second)
+	}
+}

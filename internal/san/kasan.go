@@ -14,6 +14,14 @@ type KASAN struct {
 	quarCap    int
 	heapLow    uint32
 	heapHigh   uint32
+	// touched lists the chunk-table keys written (allocated, freed or
+	// evicted) since the last Snapshot or RestoreState, repeats allowed.
+	// RestoreState rewinds exactly these keys — the chunk-table analogue of
+	// the shadow's mutation window. Nothing is recorded before the first
+	// Snapshot, when there is no state to rewind to, so a long boot does
+	// not grow the list.
+	touched []uint32
+	snapped bool
 
 	// stacker, when installed (forensic arming), captures the current
 	// shadow call stack; allocations and frees stamp their chunk with it so
@@ -89,6 +97,7 @@ func (k *KASAN) OnAlloc(ptr, size, pc uint32) {
 		c.AllocStack = k.stacker()
 	}
 	k.chunks[ptr] = c
+	k.touch(ptr)
 }
 
 // OnFree records a deallocation of ptr. It returns a report when the free
@@ -112,6 +121,7 @@ func (k *KASAN) OnFree(ptr, pc uint32, hart int) *Report {
 	}
 	c.Freed = true
 	c.FreePC = pc
+	k.touch(ptr)
 	if k.stacker != nil {
 		c.FreeStack = k.stacker()
 	}
@@ -122,6 +132,7 @@ func (k *KASAN) OnFree(ptr, pc uint32, hart int) *Report {
 		k.quarantine = k.quarantine[1:]
 		if ec, ok := k.chunks[evict]; ok && ec.Freed {
 			delete(k.chunks, evict)
+			k.touch(evict)
 		}
 	}
 	return nil
@@ -190,6 +201,13 @@ func (k *KASAN) CheckAccess(addr, size uint32, write bool, pc uint32, hart int) 
 	return r
 }
 
+// touch records a write to the chunk-table key a for the next RestoreState.
+func (k *KASAN) touch(a uint32) {
+	if k.snapped {
+		k.touched = append(k.touched, a)
+	}
+}
+
 // chunkFor finds the chunk containing addr.
 func (k *KASAN) chunkFor(addr uint32) *Chunk {
 	// Chunks are small; probe backwards over plausible base addresses at
@@ -218,8 +236,11 @@ func (k *KASAN) nearestChunk(addr uint32) *Chunk {
 	return nil
 }
 
-// Snapshot captures engine state.
+// Snapshot captures engine state and starts a new touched-key window: a
+// later RestoreState rewinds to the most recent Snapshot, and only to it.
 func (k *KASAN) Snapshot() *KASANState {
+	k.touched = k.touched[:0]
+	k.snapped = true
 	st := &KASANState{
 		chunks:     make(map[uint32]Chunk, len(k.chunks)),
 		quarantine: append([]uint32(nil), k.quarantine...),
@@ -232,13 +253,25 @@ func (k *KASAN) Snapshot() *KASANState {
 	return st
 }
 
-// RestoreState rewinds engine state to a snapshot.
+// RestoreState rewinds engine state to st, which must be the most recent
+// Snapshot: only the chunk-table keys touched since then (or since the
+// previous RestoreState) are rewound, so the cost follows what one execution
+// allocated and freed, not the size of the heap. Restoring an older
+// snapshot leaves chunks touched before the latest one unrewound.
 func (k *KASAN) RestoreState(st *KASANState) {
-	k.chunks = make(map[uint32]*Chunk, len(st.chunks))
-	for a, c := range st.chunks {
-		cc := c
-		k.chunks[a] = &cc
+	for _, a := range k.touched {
+		c, ok := st.chunks[a]
+		switch cur := k.chunks[a]; {
+		case !ok:
+			delete(k.chunks, a)
+		case cur != nil:
+			*cur = c
+		default:
+			cc := c
+			k.chunks[a] = &cc
+		}
 	}
+	k.touched = k.touched[:0]
 	k.quarantine = append(k.quarantine[:0], st.quarantine...)
 	k.heapLow, k.heapHigh = st.heapLow, st.heapHigh
 }

@@ -647,10 +647,8 @@ func (rt *Runtime) Restore() {
 	}
 	rt.enabled = rt.enabledAtSnap
 	rt.reports = nil
-	rt.seen = make(map[string]bool)
-	for k := range rt.pending {
-		delete(rt.pending, k)
-	}
+	clear(rt.seen)
+	clear(rt.pending)
 }
 
 // ConvertNative translates in-guest sanitizer reports (SanDev) into the

@@ -174,6 +174,36 @@ func TestKASANSnapshotRestore(t *testing.T) {
 	if r := k.CheckAccess(0x2100, 8, false, 9, 0); r == nil {
 		t.Error("rolled-back alloc still accessible")
 	}
+
+	// Eviction: a chunk already quarantined at the snapshot is evicted by
+	// frees after it; restore must bring it back with its free site, so a
+	// use-after-free on it is still attributed.
+	sh = NewShadow(1 << 16)
+	k = NewKASAN(sh, 1)
+	k.NoteHeapRegion(0x2000, 0x4000)
+	k.OnAlloc(0x2000, 16, 1)
+	k.OnAlloc(0x2100, 16, 2)
+	k.OnFree(0x2000, 3, 0)
+	shCk := sh.Checkpoint()
+	st = k.Snapshot()
+	for cycle := 0; cycle < 3; cycle++ {
+		k.OnFree(0x2100, 4, 0)
+		if k.ChunkAt(0x2000) != nil {
+			t.Fatal("quarantined chunk not evicted")
+		}
+		sh.RestoreFrom(shCk)
+		k.RestoreState(st)
+		c := k.ChunkAt(0x2000)
+		if c == nil || !c.Freed || c.FreePC != 3 {
+			t.Fatalf("cycle %d: evicted chunk after restore = %+v", cycle, c)
+		}
+		if c := k.ChunkAt(0x2100); c == nil || c.Freed {
+			t.Fatalf("cycle %d: live chunk after restore = %+v", cycle, c)
+		}
+		if r := k.CheckAccess(0x2004, 4, false, 9, 0); r == nil || r.Bug != BugUAF || r.FreePC != 3 {
+			t.Fatalf("cycle %d: UAF on restored chunk = %+v", cycle, r)
+		}
+	}
 }
 
 func TestKCSANRaceDetection(t *testing.T) {
