@@ -1,9 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
-BENCH_EXECS ?= 8000
-TIMELINE_EXECS ?= 2000
 
-.PHONY: build vet test test-short race lint elide-audit obs-check explain-check monitor-check fuzz-smoke bench-parallel bench-record bench-trend bench-check rehost-check races-check ci ci-short
+.PHONY: build vet test test-short race lint elide-audit obs-check explain-check monitor-check fuzz-smoke bench-parallel perfbench-vet rehost-check races-check ci ci-short
 
 build:
 	$(GO) build ./...
@@ -114,45 +112,21 @@ rehost-check:
 bench-parallel:
 	$(GO) test -run xxx -bench BenchmarkParallelCampaigns -benchtime 2x .
 
-# Re-record the translation fast-path bench artefact: every registry
-# firmware, fast engine vs NoFastPaths baseline on the identical replay
-# workload. Run after engine changes and commit the refreshed JSON — the
-# repo carries the throughput trajectory alongside the code.
-bench-record:
-	$(GO) run ./cmd/embsan-bench -record BENCH_translate.json -record-execs $(BENCH_EXECS)
-	$(GO) run ./cmd/embsan-bench -record-rehost BENCH_rehost.json
-	$(GO) run ./cmd/embsan-bench -record-races BENCH_races.json
-
-# Re-record the timeline-sampling overhead artefact and append one summary
-# row — distilled from all four BENCH_*.json files — to the cross-PR
-# throughput trajectory in BENCH_trend.json. Run after bench-record so the
-# sibling artefacts reflect the same tree.
-bench-trend:
-	$(GO) run ./cmd/embsan-bench -record-timeline BENCH_timeline.json -timeline-execs $(TIMELINE_EXECS)
-	$(GO) run ./cmd/embsan-bench -record-trend BENCH_trend.json
-
-# CI gate on the committed artefacts: schemas and registry coverage must
-# match the current code (measured values are machine-dependent and never
-# diffed), and a bounded live smoke must show the fast paths engaging —
-# zero chain hits or zero dispatches elided fails the build.
-bench-check:
-	$(GO) run ./cmd/embsan-bench -bench-check BENCH_translate.json
-	$(GO) run ./cmd/embsan-bench -rehost-check BENCH_rehost.json
-	$(GO) run ./cmd/embsan-bench -timeline-check BENCH_timeline.json
-	$(GO) run ./cmd/embsan-bench -trend-check BENCH_trend.json
+# The benchmark in perfbench/ is its own Go module, so the root build never
+# compiles it: vet it against the current tree so that removing an exported
+# internal/... name it uses fails here, not at benchmark time.
+perfbench-vet:
+	cd perfbench && GOWORK=off GOFLAGS= GOPROXY=off $(GO) vet .
 
 # Static race-triage gate: every registry firmware must be clean-or-expected
 # under the lockset analysis (seeded races flagged, race-free firmware with
-# zero candidate pairs), the elision auditor must catch a planted bogus
-# lockset, and the committed guided-vs-uniform artefact must record the
-# lockset guidance beating uniform KCSAN sampling (virtual-clock exec counts
-# are machine-independent, so the values themselves are validated).
+# zero candidate pairs), and the elision auditor must catch a planted bogus
+# lockset. Guided-vs-uniform KCSAN finding is TestRaceGuidedBeatsUniform.
 races-check:
 	$(GO) run ./cmd/embsan lint -races -all
 	$(GO) run ./cmd/embsan lint -races -selftest
-	$(GO) run ./cmd/embsan-bench -races-check BENCH_races.json
 
-ci: vet build lint elide-audit obs-check explain-check monitor-check race fuzz-smoke rehost-check bench-check races-check
+ci: vet build lint elide-audit obs-check explain-check monitor-check race fuzz-smoke rehost-check perfbench-vet races-check
 
 # ci with the long campaign/overhead experiments skipped.
-ci-short: vet build lint elide-audit obs-check explain-check monitor-check race-short fuzz-smoke rehost-check bench-check races-check
+ci-short: vet build lint elide-audit obs-check explain-check monitor-check race-short fuzz-smoke rehost-check perfbench-vet races-check

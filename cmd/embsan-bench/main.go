@@ -10,30 +10,15 @@
 //	embsan-bench -figure 2        # runtime overhead (Figure 2)
 //	embsan-bench -elision         # dispatch savings from static safety proofs
 //	embsan-bench -all [-workers 4]
-//	embsan-bench -record BENCH_translate.json   # translation fast-path bench
-//	embsan-bench -bench-check BENCH_translate.json
-//	embsan-bench -record-rehost BENCH_rehost.json   # rehosted replay throughput
-//	embsan-bench -rehost-check BENCH_rehost.json
-//	embsan-bench -record-races BENCH_races.json     # guided-vs-uniform race finding
-//	embsan-bench -races-check BENCH_races.json
-//	embsan-bench -record-timeline BENCH_timeline.json   # timeline sampling overhead
-//	embsan-bench -timeline-check BENCH_timeline.json
-//	embsan-bench -record-trend BENCH_trend.json     # append a cross-PR summary row
-//	embsan-bench -trend-check BENCH_trend.json
-//
-// -record-trend distils the four sibling BENCH_*.json artefacts (looked up
-// next to the target path) into one summary row and appends it.
 //
 // The table 3/4 campaigns run on the deterministic parallel executor
 // (internal/sched); -workers sizes its pool without changing any output.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"embsan/internal/exps"
 	"embsan/internal/guest/firmware"
@@ -53,25 +38,6 @@ func main() {
 		elision = flag.Bool("elision", false, "measure sanitizer dispatches elided by static safety proofs")
 		trace   = flag.String("trace", "", "capture table 3/4 campaign traces and write a Chrome trace_event JSON to this file")
 		metrics = flag.Bool("metrics", false, "append the per-phase virtual-time breakdown to the campaign stats")
-
-		record      = flag.String("record", "", "measure the translation fast paths on every registry firmware and write the bench JSON here")
-		recordExecs = flag.Int("record-execs", 8000, "timed replays per engine per firmware for -record")
-		benchCheck  = flag.String("bench-check", "", "validate a recorded bench JSON (schema + registry coverage, never values) and smoke the fast paths live")
-
-		recordRehost = flag.String("record-rehost", "", "measure rehosted-firmware replay throughput and write the bench JSON here")
-		rehostExecs  = flag.Int("rehost-execs", 4000, "timed replays per firmware for -record-rehost")
-		rehostCheck  = flag.String("rehost-check", "", "validate a recorded rehost bench JSON (schema + family coverage, never values)")
-
-		recordRaces = flag.String("record-races", "", "run the guided-vs-uniform race-finding bench on the seeded race twin and write the bench JSON here")
-		raceExecs   = flag.Int("race-execs", 2000, "per-campaign execution budget for -record-races")
-		racesCheck  = flag.String("races-check", "", "validate a recorded race bench JSON (virtual-clock exec counts are machine-independent)")
-
-		recordTimeline = flag.String("record-timeline", "", "measure timeline-sampling overhead on every registry firmware and write the bench JSON here")
-		timelineExecs  = flag.Int("timeline-execs", 2000, "per-campaign execution budget for -record-timeline")
-		timelineCheck  = flag.String("timeline-check", "", "validate a recorded timeline bench JSON (schema + registry coverage, never values)")
-
-		recordTrend = flag.String("record-trend", "", "append a summary row distilled from the sibling BENCH_*.json artefacts to this trend JSON")
-		trendCheck  = flag.String("trend-check", "", "validate a recorded trend JSON (schema + monotone sequence, never values)")
 	)
 	flag.Parse()
 
@@ -132,188 +98,9 @@ func main() {
 		}
 		fmt.Println(exps.FormatElisionTable(stats))
 	}
-	if *record != "" {
-		tb, err := exps.RunTranslateBench(nil, exps.TranslateBenchOptions{Execs: *recordExecs, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		data, err := json.MarshalIndent(tb, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*record, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Println(exps.FormatTranslateBench(tb))
-		fmt.Printf("bench written to %s\n", *record)
-	}
-	if *benchCheck != "" {
-		benchCheckRun(*benchCheck, *seed)
-	}
-	if *recordRehost != "" {
-		rb, err := exps.RunRehostBench(exps.RehostBenchOptions{Execs: *rehostExecs, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		data, err := json.MarshalIndent(rb, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*recordRehost, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Println(exps.FormatRehostBench(rb))
-		fmt.Printf("bench written to %s\n", *recordRehost)
-	}
-	if *rehostCheck != "" {
-		data, err := os.ReadFile(*rehostCheck)
-		if err != nil {
-			fatal(err)
-		}
-		if err := exps.CheckRehostBench(data); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("rehost-check: %s schema and family coverage OK\n", *rehostCheck)
-	}
-	if *recordRaces != "" {
-		rb, err := exps.RunRaceBench(exps.RaceBenchOptions{Execs: *raceExecs, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		data, err := json.MarshalIndent(rb, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*recordRaces, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Println(exps.FormatRaceBench(rb))
-		fmt.Printf("bench written to %s\n", *recordRaces)
-	}
-	if *racesCheck != "" {
-		data, err := os.ReadFile(*racesCheck)
-		if err != nil {
-			fatal(err)
-		}
-		if err := exps.CheckRaceBench(data); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("races-check: %s records the guided campaign beating uniform sampling\n", *racesCheck)
-	}
-	if *recordTimeline != "" {
-		tb, err := exps.RunTimelineBench(nil, exps.TimelineBenchOptions{Execs: *timelineExecs, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		data, err := json.MarshalIndent(tb, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*recordTimeline, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Println(exps.FormatTimelineBench(tb))
-		fmt.Printf("bench written to %s\n", *recordTimeline)
-	}
-	if *timelineCheck != "" {
-		data, err := os.ReadFile(*timelineCheck)
-		if err != nil {
-			fatal(err)
-		}
-		if err := exps.CheckTimelineBench(data, nil); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("timeline-check: %s schema and registry coverage OK\n", *timelineCheck)
-	}
-	if *recordTrend != "" {
-		recordTrendRun(*recordTrend)
-	}
-	if *trendCheck != "" {
-		data, err := os.ReadFile(*trendCheck)
-		if err != nil {
-			fatal(err)
-		}
-		if err := exps.CheckBenchTrend(data); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trend-check: %s schema and sequence OK\n", *trendCheck)
-	}
-	if !*all && *table == 0 && *figure == 0 && !*elision && *record == "" && *benchCheck == "" &&
-		*recordRehost == "" && *rehostCheck == "" && *recordRaces == "" && *racesCheck == "" &&
-		*recordTimeline == "" && *timelineCheck == "" && *recordTrend == "" && *trendCheck == "" {
+	if !*all && *table == 0 && *figure == 0 && !*elision {
 		flag.Usage()
 	}
-}
-
-// recordTrendRun appends one summary row to the trend artefact at path,
-// distilled from the four BENCH_*.json files in the same directory.
-func recordTrendRun(path string) {
-	dir := filepath.Dir(path)
-	read := func(name string) []byte {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			fatal(fmt.Errorf("trend needs %s next to %s: %w", name, path, err))
-		}
-		return data
-	}
-	prev, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		fatal(err)
-	}
-	trend, err := exps.AppendBenchTrend(prev,
-		read("BENCH_translate.json"), read("BENCH_races.json"),
-		read("BENCH_rehost.json"), read("BENCH_timeline.json"))
-	if err != nil {
-		fatal(err)
-	}
-	data, err := json.MarshalIndent(trend, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Println(exps.FormatBenchTrend(trend))
-	fmt.Printf("trend written to %s (%d rows)\n", path, len(trend.Rows))
-}
-
-// benchCheckRun is the CI gate on the committed bench artefact: the schema
-// and registry coverage must match the current code (measured values are
-// machine-dependent and never compared), and a bounded live smoke on one
-// EMBSAN-C and one EMBSAN-D firmware must show the fast paths engaging —
-// nonzero exit chains followed and dispatches elided.
-func benchCheckRun(path string, seed int64) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := exps.CheckTranslateBench(data, nil); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("bench-check: %s schema and registry coverage OK\n", path)
-
-	var fws []*firmware.Firmware
-	for _, name := range []string{"OpenWRT-armvirt", "OpenWRT-bcm63xx"} {
-		fw, err := firmware.Build(name)
-		if err != nil {
-			fatal(err)
-		}
-		fws = append(fws, fw)
-	}
-	smoke, err := exps.RunTranslateBench(fws, exps.TranslateBenchOptions{Execs: 120, Seed: seed})
-	if err != nil {
-		fatal(err)
-	}
-	var chains, elided uint64
-	for _, r := range smoke.Rows {
-		chains += r.ChainHits
-		elided += r.DispatchesElided
-	}
-	if chains == 0 || elided == 0 {
-		fmt.Println(exps.FormatTranslateBench(smoke))
-		fatal(fmt.Errorf("fast paths did not engage on the registry smoke (chains=%d elided=%d)", chains, elided))
-	}
-	fmt.Printf("bench-check: live smoke engaged the fast paths (%d chains, %d dispatches elided)\n", chains, elided)
 }
 
 func fatal(err error) {

@@ -51,12 +51,13 @@ type CampaignOptions struct {
 	// chaining and the shared translation cache are disabled on the pooled
 	// machines and no inline shadow sites are armed. Campaign outcomes are
 	// identical with it on or off — the differential oracle tests assert
-	// exactly that — so the flag exists for those oracles and for recording
-	// the bench baseline, not for production use.
+	// exactly that — so the flag exists for the fast-path oracles
+	// (fastpath_diff_test.go), not for production use.
 	NoFastPaths bool
 	// NoRaceGuidance runs KCSAN with uniform sampling instead of the static
-	// lockset guidance (core.Config.NoRaceGuidance) — the baseline side of
-	// the guided-vs-uniform race benchmarks.
+	// lockset guidance (core.Config.NoRaceGuidance) — the same warm-up
+	// switch the race tests use for their uniform-sampling side
+	// (TestRaceGuidedBeatsUniform, TestRaceGuidanceNoFalseElision).
 	NoRaceGuidance bool
 	// Forensics arms forensic provenance capture (core.Instance.ArmForensics)
 	// for the campaign: crash reports carry allocation and free backtraces
@@ -120,7 +121,8 @@ type Campaign struct {
 	// dispatch, chaining, inline and shared-cache accounting included. Like
 	// Phases it is a worker-local diagnostic (shared-cache hits depend on
 	// which worker translated first) and participates in no campaign-result
-	// comparison; the bench recorder reads it to report dispatches elided.
+	// comparison; the fast-path oracles read it to check which paths
+	// engaged, and Phases and the worker counters are derived from it.
 	Engine emu.Counters
 
 	// Timeline extras, populated when CampaignOptions.Timeline asks for

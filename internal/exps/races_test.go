@@ -3,32 +3,53 @@ package exps
 import (
 	"testing"
 
+	"embsan/internal/fuzz"
 	"embsan/internal/guest/firmware"
 	"embsan/internal/san"
 	"embsan/internal/sched"
+	"embsan/internal/static"
+	"embsan/internal/static/races"
 )
 
-// TestRaceBenchGuidedBeatsUniform is the ground-truth experiment: the
-// seeded freertos race is flagged statically and found dynamically, and
-// the lockset-guided campaign needs strictly fewer executions than uniform
-// sampling. Both campaigns are virtual-clock deterministic, so the margin
-// is stable across machines.
-func TestRaceBenchGuidedBeatsUniform(t *testing.T) {
-	rb, err := RunRaceBench(RaceBenchOptions{})
+// TestRaceGuidedBeatsUniform is the ground-truth experiment: the seeded
+// freertos race is flagged statically and found dynamically, and the
+// lockset-guided campaign needs strictly fewer executions than uniform
+// sampling at the same budget and seed. Both campaigns are virtual-clock
+// deterministic, so the margin is stable across machines.
+func TestRaceGuidedBeatsUniform(t *testing.T) {
+	fw, err := firmware.BuildRaceTwin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", FormatRaceBench(rb))
-	if rb.StaticPairs == 0 {
+	an, err := static.Analyze(fw.Image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(races.Analyze(an, races.Options{}).Pairs) == 0 {
 		t.Fatal("static triage emitted no candidate pairs")
 	}
-	if rb.GuidedExecs == 0 {
+	guided := raceFindExecs(t, fw, false)
+	uniform := raceFindExecs(t, fw, true)
+	t.Logf("%s: guided %d execs, uniform %d execs (0 = missed)", fw.Name, guided, uniform)
+	if guided == 0 {
 		t.Fatal("guided campaign missed the seeded race")
 	}
-	if rb.UniformExecs != 0 && rb.GuidedExecs >= rb.UniformExecs {
-		t.Errorf("guided (%d execs) not faster than uniform (%d execs)",
-			rb.GuidedExecs, rb.UniformExecs)
+	if uniform != 0 && guided >= uniform {
+		t.Errorf("guided (%d execs) not faster than uniform (%d execs)", guided, uniform)
 	}
+}
+
+// raceFindExecs runs one 2000-exec campaign on the race twin and returns
+// the executions consumed when the first race report fired (0 = missed).
+func raceFindExecs(t *testing.T, fw *firmware.Firmware, noGuide bool) int {
+	t.Helper()
+	found := 0
+	for _, crash := range raceCrashes(t, fw, 2000, 7, noGuide) {
+		if found == 0 || crash.Execs < found {
+			found = crash.Execs
+		}
+	}
+	return found
 }
 
 // TestRaceGuidedCampaignDeterministicAcrossWorkers: guided-KCSAN campaigns
@@ -57,11 +78,9 @@ func TestRaceGuidedCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// raceAddrs collects the distinct racing addresses one campaign caught. A
-// race is identified by the contended address, not the report signature:
-// the same race reports from whichever side observed the collision first,
-// and guidance legitimately shifts which side that is.
-func raceAddrs(t *testing.T, fw *firmware.Firmware, execs int, seed int64, noGuide bool) map[uint32]bool {
+// raceCrashes runs one campaign on fw and returns the crashes that carry a
+// race report.
+func raceCrashes(t *testing.T, fw *firmware.Firmware, execs int, seed int64, noGuide bool) []*fuzz.Crash {
 	t.Helper()
 	w, err := warmUp(fw, seed, false, false, noGuide)
 	if err != nil {
@@ -71,11 +90,24 @@ func raceAddrs(t *testing.T, fw *firmware.Firmware, execs int, seed int64, noGui
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := map[uint32]bool{}
+	var out []*fuzz.Crash
 	for _, crash := range c.Raw.Crashes {
 		if crash.Report != nil && crash.Report.Bug == san.BugRace {
-			addrs[crash.Report.Addr] = true
+			out = append(out, crash)
 		}
+	}
+	return out
+}
+
+// raceAddrs collects the distinct racing addresses one campaign caught. A
+// race is identified by the contended address, not the report signature:
+// the same race reports from whichever side observed the collision first,
+// and guidance legitimately shifts which side that is.
+func raceAddrs(t *testing.T, fw *firmware.Firmware, execs int, seed int64, noGuide bool) map[uint32]bool {
+	t.Helper()
+	addrs := map[uint32]bool{}
+	for _, crash := range raceCrashes(t, fw, execs, seed, noGuide) {
+		addrs[crash.Report.Addr] = true
 	}
 	return addrs
 }

@@ -1,10 +1,7 @@
 package exps
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
-	"time"
 
 	"embsan/internal/emu"
 	"embsan/internal/guest/firmware"
@@ -34,7 +31,7 @@ func RehostNames() []string {
 // build the mystery guest, throw away everything but the stripped image,
 // lift it, and wrap the result as a registry-shaped firmware whose machine
 // config carries the synthesized bridge device. Everything downstream
-// (probing, warm-up, campaigns, benches) then treats it exactly like any
+// (probing, warm-up, campaigns) then treats it exactly like any
 // other closed EMBSAN-D firmware. The seeded-bug list and corpus come from
 // the guest's ground truth — they describe what a campaign should find, not
 // how to boot the image, so using them does not leak into the lift.
@@ -91,171 +88,4 @@ func RunRehostCampaigns(opts CampaignOptions) (*CampaignRun, error) {
 		return nil, err
 	}
 	return RunCampaignSet(fws, opts)
-}
-
-// RehostBenchSchema names the BENCH_rehost.json wire format; `make
-// bench-check` diffs it (never the measured values) against the committed
-// artefact.
-const RehostBenchSchema = "embsan/bench-rehost/v1"
-
-// RehostBench is the recorded rehosted-firmware replay benchmark: the
-// deterministic replay throughput of each lifted deployment, plus the
-// lifted map's shape so the artefact documents what was being served. It is
-// serialised to BENCH_rehost.json by `embsan-bench -record`.
-type RehostBench struct {
-	Schema string           `json:"schema"`
-	Execs  int              `json:"execs"` // timed replays per firmware
-	Seed   int64            `json:"seed"`
-	Rows   []RehostBenchRow `json:"rows"`
-}
-
-// RehostBenchRow is one lifted deployment's measurement. Registers, Windows
-// and Allocs describe the inferred profile the bridge served; BridgeReads
-// and BridgeWrites count the MMIO traffic the replay workload actually
-// pushed through it (from the machine's device counters).
-type RehostBenchRow struct {
-	Firmware     string  `json:"firmware"`
-	ExecsPerSec  float64 `json:"execs_per_sec"`
-	Registers    int     `json:"registers"`
-	Windows      int     `json:"windows"`
-	Allocs       int     `json:"allocs"`
-	BridgeReads  uint64  `json:"bridge_reads"`
-	BridgeWrites uint64  `json:"bridge_writes"`
-}
-
-// RehostBenchOptions bounds the bench.
-type RehostBenchOptions struct {
-	Execs  int   // timed replays per round (default 4000)
-	Rounds int   // timed rounds; best rate wins (default 3)
-	Seed   int64 // warm-up base seed (default 7)
-}
-
-// RunRehostBench measures each rehosted deployment on its deterministic
-// replay workload (every seeded-bug trigger plus every corpus seed, one
-// Restore+Exec each, cycled until the budget is spent). One untimed settle
-// pass precedes the timed rounds and the best rate is kept — the same
-// minimum-time estimator as the translation bench.
-func RunRehostBench(opts RehostBenchOptions) (*RehostBench, error) {
-	if opts.Execs <= 0 {
-		opts.Execs = 4000
-	}
-	if opts.Rounds <= 0 {
-		opts.Rounds = 3
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 7
-	}
-	out := &RehostBench{Schema: RehostBenchSchema, Execs: opts.Execs, Seed: opts.Seed}
-	for _, arch := range RehostArches {
-		fw, p, err := BuildRehosted(arch)
-		if err != nil {
-			return nil, err
-		}
-		row, err := rehostBenchRow(fw, p, opts)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, *row)
-	}
-	return out, nil
-}
-
-func rehostBenchRow(fw *firmware.Firmware, p *rehost.Profile, opts RehostBenchOptions) (*RehostBenchRow, error) {
-	var inputs [][]byte
-	for i := range fw.Bugs {
-		inputs = append(inputs, fw.Bugs[i].Trigger)
-	}
-	inputs = append(inputs, fw.Seeds...)
-
-	w, err := warmUp(fw, opts.Seed, false, false, false)
-	if err != nil {
-		return nil, err
-	}
-	inst := w.inst
-	for _, in := range inputs {
-		inst.Restore()
-		inst.Exec(in, 100_000_000)
-	}
-
-	var rate float64
-	var ctr emu.Counters
-	for r := 0; r < opts.Rounds; r++ {
-		before := inst.Machine.Counters()
-		start := time.Now()
-		for n := 0; n < opts.Execs; {
-			for _, in := range inputs {
-				inst.Restore()
-				inst.Exec(in, 100_000_000)
-				if n++; n >= opts.Execs {
-					break
-				}
-			}
-		}
-		if rr := float64(opts.Execs) / time.Since(start).Seconds(); rr > rate {
-			rate, ctr = rr, inst.Machine.Counters().Sub(before)
-		}
-	}
-	return &RehostBenchRow{
-		Firmware:     fw.Name,
-		ExecsPerSec:  rate,
-		Registers:    len(p.Registers),
-		Windows:      len(p.Windows),
-		Allocs:       len(p.Allocs),
-		BridgeReads:  ctr.DeviceReads,
-		BridgeWrites: ctr.DeviceWrites,
-	}, nil
-}
-
-// FormatRehostBench renders the bench as a table.
-func FormatRehostBench(rb *RehostBench) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Rehosted replay throughput (%d replays per firmware, seed %d)\n", rb.Execs, rb.Seed)
-	fmt.Fprintf(&b, "%-20s %11s %5s %4s %6s %12s %12s\n",
-		"Firmware", "execs/s", "regs", "wins", "allocs", "dev-reads", "dev-writes")
-	for _, r := range rb.Rows {
-		fmt.Fprintf(&b, "%-20s %11.1f %5d %4d %6d %12d %12d\n",
-			r.Firmware, r.ExecsPerSec, r.Registers, r.Windows, r.Allocs,
-			r.BridgeReads, r.BridgeWrites)
-	}
-	return b.String()
-}
-
-// CheckRehostBench validates a recorded artefact against the current code
-// without comparing any measured value: the schema must match, every
-// rehosted firmware must have a structurally sane row, and every row must
-// show a non-trivial lifted map being served (a rehosted image that pushed
-// zero MMIO traffic through its bridge never actually booted).
-func CheckRehostBench(data []byte) error {
-	var rb RehostBench
-	if err := json.Unmarshal(data, &rb); err != nil {
-		return fmt.Errorf("exps: rehost bench artefact unreadable: %w", err)
-	}
-	if rb.Schema != RehostBenchSchema {
-		return fmt.Errorf("exps: rehost bench artefact schema %q, code expects %q — re-record with `make bench-record`",
-			rb.Schema, RehostBenchSchema)
-	}
-	have := map[string]bool{}
-	for _, r := range rb.Rows {
-		if r.Firmware == "" || r.ExecsPerSec <= 0 {
-			return fmt.Errorf("exps: rehost bench artefact row %+v is malformed", r)
-		}
-		if r.Registers == 0 || r.Allocs == 0 {
-			return fmt.Errorf("exps: rehost bench artefact row %s records an empty lifted map", r.Firmware)
-		}
-		if r.BridgeReads == 0 {
-			return fmt.Errorf("exps: rehost bench artefact row %s shows no MMIO traffic through the bridge", r.Firmware)
-		}
-		have[r.Firmware] = true
-	}
-	var missing []string
-	for _, n := range RehostNames() {
-		if !have[n] {
-			missing = append(missing, n)
-		}
-	}
-	if len(missing) > 0 {
-		return fmt.Errorf("exps: rehost bench artefact missing rows: %s — re-record with `make bench-record`",
-			strings.Join(missing, ", "))
-	}
-	return nil
 }

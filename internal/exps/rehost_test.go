@@ -1,7 +1,6 @@
 package exps
 
 import (
-	"encoding/json"
 	"runtime"
 	"strings"
 	"testing"
@@ -70,37 +69,5 @@ func TestRehostCampaignDeterminismAcrossWorkers(t *testing.T) {
 			t.Errorf("workers=%d diverged from workers=%d:\n%s\n---\n%s",
 				counts[i], counts[0], prints[0], prints[i])
 		}
-	}
-}
-
-// TestRehostBenchRoundTrip: the recorder produces a checkable artefact and
-// the checker rejects a schema drift.
-func TestRehostBenchRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench measurement is long; run without -short")
-	}
-	rb, err := RunRehostBench(RehostBenchOptions{Execs: 200, Rounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(rb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckRehostBench(data); err != nil {
-		t.Fatalf("fresh artefact fails its own check: %v", err)
-	}
-	text := FormatRehostBench(rb)
-	for _, r := range rb.Rows {
-		if r.BridgeReads == 0 {
-			t.Errorf("%s: no MMIO reads through the bridge", r.Firmware)
-		}
-		if !strings.Contains(text, r.Firmware) {
-			t.Errorf("formatted bench missing %q", r.Firmware)
-		}
-	}
-	bad := strings.Replace(string(data), RehostBenchSchema, "embsan/bench-rehost/v0", 1)
-	if err := CheckRehostBench([]byte(bad)); err == nil {
-		t.Error("checker accepted a drifted schema")
 	}
 }

@@ -82,6 +82,11 @@ func DecodeRecords(b []byte) ([]Record, error) {
 		return nil, fmt.Errorf("forensics: reserved header bytes set (%#x)", r)
 	}
 	count := int(binary.LittleEndian.Uint32(b[8:]))
+	// Every record takes at least fxEventSize+2 bytes: bound the header's
+	// count by the stream length before sizing anything from it.
+	if most := (len(b) - fxHeaderSize) / (fxEventSize + 2); count > most {
+		return nil, fmt.Errorf("forensics: header claims %d records, %d bytes hold at most %d", count, len(b), most)
+	}
 	recs := make([]Record, 0, count)
 	off := fxHeaderSize
 	for i := 0; i < count; i++ {

@@ -193,6 +193,9 @@ func TestCodecRejectsMalformed(t *testing.T) {
 		"bad version":    append(append([]byte{}, good[:4]...), append([]byte{9, 0}, good[6:]...)...),
 		"trailing bytes": append(append([]byte{}, good...), 0),
 		"truncated":      good[:len(good)-1],
+		// A header count far beyond what the stream can hold must be
+		// rejected before anything is sized from it.
+		"huge count": []byte("EMFX\x01\x00\x00\x00\x00\x00\x0099\x00"),
 	}
 	for name, b := range cases {
 		if _, err := DecodeRecords(b); err == nil {

@@ -116,11 +116,19 @@ type Profile struct {
 	FuncsReachable int
 }
 
+// checkEntry rejects an entry point no instruction can start at.
+func checkEntry(entry uint32) error {
+	if entry%4 != 0 {
+		return fmt.Errorf("rehost: entry %#x misaligned", entry)
+	}
+	return nil
+}
+
 // Validate checks the internal consistency every lifted profile must have,
 // whatever bytes went in. The fuzz target runs it on arbitrary inputs.
 func (p *Profile) Validate() error {
-	if p.Entry%4 != 0 {
-		return fmt.Errorf("rehost: entry %#x misaligned", p.Entry)
+	if err := checkEntry(p.Entry); err != nil {
+		return err
 	}
 	for i, w := range p.Windows {
 		if w.Size == 0 || w.Base%0x1000 != 0 {

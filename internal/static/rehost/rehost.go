@@ -582,6 +582,9 @@ func branchCarrier(carriers map[uint8]uint32, in isa.Inst) (uint32, bool) {
 // Lift runs the full rehosting analysis over one image. It needs no
 // symbols and no link metadata: the stripped binary is enough.
 func Lift(img *kasm.Image) (*Profile, error) {
+	if err := checkEntry(img.Entry); err != nil {
+		return nil, err
+	}
 	an, err := static.Analyze(img)
 	if err != nil {
 		return nil, err

@@ -12,6 +12,7 @@ import (
 	"embsan/internal/guest/mystery"
 	"embsan/internal/guest/vxworks"
 	"embsan/internal/isa"
+	"embsan/internal/kasm"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -155,6 +156,34 @@ func TestLiftDeterminism(t *testing.T) {
 	}
 	if a.RenderStub() != b.RenderStub() {
 		t.Fatal("two lifts of the same image generate different stubs")
+	}
+}
+
+// TestLiftRejectsMisalignedEntry: an entry point no instruction can start
+// at is refused by Lift itself, with the error Validate would give, rather
+// than yielding a profile that fails its own Validate.
+func TestLiftRejectsMisalignedEntry(t *testing.T) {
+	fw, err := mystery.Build("Mystery", isa.ArchX86E)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shifted := *fw.Image
+	shifted.Entry += 2
+	cases := []struct {
+		name string
+		img  *kasm.Image
+	}{
+		{"empty image, entry 0xfeb", &kasm.Image{Name: "fuzz", Arch: isa.Arch(1), Base: kasm.DefaultBase,
+			Entry: 0xfeb, DataAddr: kasm.DefaultBase + 64}},
+		{"mystery, entry+2", &shifted},
+	}
+	for _, c := range cases {
+		p, err := Lift(c.img)
+		if err == nil {
+			t.Errorf("%s: lifted a profile with entry %#x", c.name, p.Entry)
+		} else if !strings.Contains(err.Error(), "misaligned") {
+			t.Errorf("%s: error %q, want the misaligned-entry error", c.name, err)
+		}
 	}
 }
 
