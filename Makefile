@@ -95,6 +95,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs/forensics -fuzz FuzzExplainRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/emu -fuzz FuzzChainedExecution -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
 	$(GO) test ./internal/san -fuzz FuzzKASANRestore -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/san -fuzz FuzzInlineClean -fuzztime $(FUZZTIME)
 
 # Static rehosting gate: emit the binary-only mystery image to a file, lift
 # it from the encoded bytes alone, boot it through the synthesized bridge,

@@ -321,17 +321,16 @@ func (i *Instance) ArmForensics(on bool) {
 	}
 }
 
-// EnableInlineFastPath arms the machine's in-template shadow fast path for
-// the given access-site PCs — normally the hottest dispatch sites from an
-// obs.Profile of a representative run. It returns false when the deployment
-// cannot skip delegate dispatch behaviourally (no sanitizer runtime, or an
-// engine mix that observes clean dispatches — see
-// san.Runtime.InstallInlineFastPath).
+// EnableInlineFastPath arms the machine's in-template shadow check at every
+// access site. pcs is no longer consulted: the check is a property of the
+// deployment, not of a profile. It returns false when the deployment cannot
+// skip delegate dispatch behaviourally (no sanitizer runtime, or an engine
+// mix that observes clean dispatches — see san.Runtime.InstallInlineFastPath).
 func (i *Instance) EnableInlineFastPath(pcs []uint32) bool {
 	if i.Runtime == nil {
 		return false
 	}
-	return i.Runtime.InstallInlineFastPath(pcs)
+	return i.Runtime.InstallInlineFastPath()
 }
 
 // Image returns the firmware image under test.

@@ -256,11 +256,14 @@ func TestSelfModifyingFaultThroughChain(t *testing.T) {
 
 // padImage builds an image whose text spans several full pages (the shared
 // translation cache only publishes blocks from pages lying entirely inside
-// the text section), with an executed loop in the padded region.
+// the text section), with an executed loop in the padded region that stores
+// to buf once per iteration.
 func padImage(t *testing.T) *kasm.Image {
 	t.Helper()
 	b := kasm.NewBuilder(kasm.Target{Arch: isa.ArchARM32E})
+	b.GlobalRaw("buf", 8)
 	b.Func("_start")
+	b.La(rA1, "buf")
 	b.Li(rT0, 300)
 	b.Li(rA0, 0)
 	b.Label("loop")
@@ -268,9 +271,12 @@ func padImage(t *testing.T) *kasm.Image {
 	b.ADDI(rT0, rT0, -1)
 	b.BNEZ(rT0, "loop")
 	exitWith(b)
-	b.Func("work") // ~3 pages of straight-line text
+	b.Func("work") // ~3 pages of straight-line text, a store in the middle
 	for i := 0; i < 3000; i++ {
 		b.ADDI(rA0, rA0, 1)
+		if i == 1500 {
+			b.SW(rA0, rA1, 0)
+		}
 	}
 	b.Ret()
 	return mustLink(t, b, "padded")
@@ -279,7 +285,9 @@ func padImage(t *testing.T) *kasm.Image {
 // TestSharedTranslationCache: a second machine on the same image content and
 // configuration consumes the first machine's published translations instead
 // of decoding its own, with identical observable behaviour; a NoSharedTB
-// machine stays off the cache entirely.
+// machine stays off the cache entirely; and inline arming keys the cache, so
+// armed and unarmed machines, or armed ones with different quiet ranges,
+// never consume each other's step slices.
 func TestSharedTranslationCache(t *testing.T) {
 	img := padImage(t)
 	m1, err := New(img, Config{})
@@ -316,12 +324,52 @@ func TestSharedTranslationCache(t *testing.T) {
 	if h := m3.Counters().SharedTBHits; h != 0 {
 		t.Errorf("NoSharedTB machine hit the shared cache %d times", h)
 	}
+
+	// Each run counts its delegate calls at the padded store: a step slice
+	// crossing from a differently armed machine would settle or delegate
+	// the wrong ones.
+	buf, _ := img.Lookup("buf")
+	clean := make([]byte, m1.RAMSize()/8)
+	poisoned := make([]byte, m1.RAMSize()/8)
+	poisoned[buf.Addr/8] = 0xFA
+	var site uint32
+	run := func(name string, shadow []byte, quiet []PCRange, wantCalls int) Counters {
+		t.Helper()
+		m := newMachine(t, img)
+		calls := 0
+		m.SetProbes(ProbeSet{Mem: func(ev *MemEvent) {
+			if ev.Addr == buf.Addr {
+				site = ev.PC
+				calls++
+			}
+		}})
+		if shadow != nil {
+			m.ArmInlineChecks(shadow, quiet)
+		}
+		if r := m.Run(0); r != StopExit {
+			t.Fatalf("%s: stop=%v", name, r)
+		}
+		if calls != wantCalls {
+			t.Errorf("%s: %d delegate calls at the store, want %d", name, calls, wantCalls)
+		}
+		return m.Counters()
+	}
+	run("armed", clean, nil, 0)
+	if c := run("unarmed", nil, nil, 300); c.InlineFast+c.InlineSlow != 0 {
+		t.Errorf("unarmed machine ran armed steps: inline fast=%d slow=%d", c.InlineFast, c.InlineSlow)
+	}
+	quiet := []PCRange{{Start: site, End: site + 4}}
+	run("armed+quiet", poisoned, quiet, 0)
+	if c := run("armed+quiet again", poisoned, quiet, 0); c.SharedTBHits == 0 {
+		t.Error("identically armed machine consumed nothing from the shared cache")
+	}
+	run("armed, poisoned", poisoned, nil, 300)
 }
 
-// TestInlineFastPathCounters: an armed access site settles clean accesses in
-// the template (InlineFast, no delegate call) and falls back to the delegate
-// the moment its shadow granule is poisoned (InlineSlow). Dispatch
-// accounting is identical either way.
+// TestInlineFastPathCounters: an armed machine settles clean accesses in the
+// template (InlineFast, no delegate call) and falls back to the delegate the
+// moment the shadow granule is poisoned (InlineSlow). Dispatch accounting is
+// identical either way.
 func TestInlineFastPathCounters(t *testing.T) {
 	build := func() *kasm.Image {
 		b := kasm.NewBuilder(kasm.Target{Arch: isa.ArchARM32E})
@@ -366,8 +414,7 @@ func TestInlineFastPathCounters(t *testing.T) {
 			calls2++
 		}
 	}})
-	m2.SetInlineShadow(shadow)
-	m2.SetInlineMemPCs([]uint32{sitePC})
+	m2.ArmInlineChecks(shadow, nil)
 	if r := m2.Run(0); r != StopExit {
 		t.Fatalf("m2: stop=%v", r)
 	}
@@ -390,8 +437,7 @@ func TestInlineFastPathCounters(t *testing.T) {
 	}})
 	poisoned := make([]byte, m1.RAMSize()/8)
 	poisoned[buf.Addr/8] = 0xFA
-	m3.SetInlineShadow(poisoned)
-	m3.SetInlineMemPCs([]uint32{sitePC})
+	m3.ArmInlineChecks(poisoned, nil)
 	if r := m3.Run(0); r != StopExit {
 		t.Fatalf("m3: stop=%v", r)
 	}

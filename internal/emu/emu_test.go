@@ -388,6 +388,48 @@ func TestStallProbe(t *testing.T) {
 	}
 }
 
+// TestProbeEventStallResets: the machine refills one MemEvent in place for
+// every dispatch, so StallInsts — an out-parameter — must restart at 0. A
+// probe that stalls only its first dispatch must see every later one arrive
+// clean, and the run must finish with exactly one retried access.
+func TestProbeEventStallResets(t *testing.T) {
+	for _, mode := range []kasm.SanitizeMode{kasm.SanNone, kasm.SanEmbsanC} {
+		b := kasm.NewBuilder(kasm.Target{Arch: isa.ArchARM32E, Sanitize: mode})
+		b.GlobalRaw("buf", 4)
+		b.Func("_start")
+		b.La(rA1, "buf")
+		b.Li(rT0, 10)
+		b.Label("loop")
+		b.SW(rT0, rA1, 0)
+		b.ADDI(rT0, rT0, -1)
+		b.BNEZ(rT0, "loop")
+		b.Li(rA0, 0)
+		exitWith(b)
+		m := newMachine(t, mustLink(t, b, "stallreset"))
+		calls := 0
+		probe := func(ev *MemEvent) {
+			if ev.StallInsts != 0 {
+				t.Fatalf("%v: dispatch %d arrived with StallInsts=%d", mode, calls+1, ev.StallInsts)
+			}
+			calls++
+			if calls == 1 {
+				ev.StallInsts = 40
+			}
+		}
+		if mode == kasm.SanEmbsanC {
+			m.SetProbes(ProbeSet{Sanck: probe})
+		} else {
+			m.SetProbes(ProbeSet{Mem: probe})
+		}
+		if r := m.Run(100_000); r != StopExit {
+			t.Fatalf("%v: stop=%v after %d dispatches", mode, r, calls)
+		}
+		if calls != 11 {
+			t.Errorf("%v: %d dispatches, want 11 (10 stores, the first retried once)", mode, calls)
+		}
+	}
+}
+
 func TestMailboxRoundTrip(t *testing.T) {
 	// Guest waits for a mailbox input, sums its bytes, writes the sum to
 	// the done register.

@@ -157,12 +157,12 @@ type Machine struct {
 	sharedSig   uint64
 	sharedSigOK bool
 
-	// inlineShadow/inlineMem arm the in-template shadow fast path: for
-	// access-site PCs in inlineMem, translated code tests the common
-	// fully-addressable case against inlineShadow (the sanitizer's live
-	// shadow array) and skips delegate dispatch when it cannot act.
+	// inlineShadow arms the in-template shadow check (nil = unarmed): every
+	// access site tests its access against the sanitizer's live shadow
+	// array and skips the delegate when it provably cannot act. Sites inside
+	// a quiet range skip the delegate outright.
 	inlineShadow []byte
-	inlineMem    map[uint32]bool
+	quiet        []PCRange
 
 	// safeMem marks access PCs the static prover showed can never touch
 	// invalid or poisoned memory; translation skips the Mem probe for them
@@ -270,8 +270,8 @@ type Counters struct {
 
 	// Fast-path accounting. Dispatches counts dispatcher entries (tbFor
 	// calls); ChainHits counts block transfers that followed a patched exit
-	// link instead. InlineFast/InlineSlow split inline-armed dispatches by
-	// whether the in-template shadow test settled them; SharedTBHits counts
+	// link instead. InlineFast/InlineSlow split dispatches at armed sites by
+	// whether the in-template check settled them; SharedTBHits counts
 	// blocks consumed from the process-global translation cache (schedule-
 	// dependent across worker pools — diagnostic only).
 	Dispatches   uint64
@@ -442,29 +442,21 @@ func (m *Machine) RaceSitePriority(pc uint32) (uint8, bool) {
 // the latest Reseed) — the campaign identity deterministic samplers mix in.
 func (m *Machine) Seed() uint64 { return m.cfg.Seed }
 
-// SetInlineShadow installs (or, with nil, removes) the shadow byte array the
-// in-template fast path tests against. The caller — normally the sanitizer
-// runtime — must pass its live backing array, not a copy: the template reads
-// it on every armed dispatch and must observe poison changes immediately.
-func (m *Machine) SetInlineShadow(shadow []byte) {
-	m.inlineShadow = shadow
-}
+// PCRange is the half-open guest PC range [Start, End).
+type PCRange struct{ Start, End uint32 }
 
-// SetInlineMemPCs arms the in-template shadow fast path for the given
-// access-site PCs (nil or empty disarms all sites). All code is
-// retranslated. The behavioural contract — an armed site whose access lies
-// fully in addressable shadow must be indistinguishable from a delegated
-// dispatch — is the caller's responsibility; san.Runtime.InstallInlineFastPath
-// enforces it by refusing engine mixes that observe clean dispatches.
-func (m *Machine) SetInlineMemPCs(pcs []uint32) {
-	if len(pcs) == 0 {
-		m.inlineMem = nil
-	} else {
-		m.inlineMem = make(map[uint32]bool, len(pcs))
-		for _, pc := range pcs {
-			m.inlineMem[pc] = true
-		}
-	}
+// ArmInlineChecks arms (or, with a nil shadow, disarms) the in-template
+// shadow check at every Mem-probe and SANCK site. shadow must be the
+// sanitizer's live backing array, not a copy: armed sites read it on every
+// dispatch and must observe poison changes immediately. quiet lists PC
+// ranges where the delegate never acts; their sites skip it outright. All
+// code is retranslated. That a settled dispatch is indistinguishable from a
+// delegated one is the caller's responsibility;
+// san.Runtime.InstallInlineFastPath enforces it by refusing engine mixes
+// that observe clean dispatches.
+func (m *Machine) ArmInlineChecks(shadow []byte, quiet []PCRange) {
+	m.inlineShadow = shadow
+	m.quiet = append([]PCRange(nil), quiet...)
 	m.flushTBs()
 }
 
@@ -592,7 +584,7 @@ func (m *Machine) flushTBs() {
 	// Every cached block is now stale, so every installed exit link is too.
 	m.chainGen++
 	// The translation signature depends on what flushed (probes, hooks,
-	// safe/inline sets); recompute it on the next shared-cache touch.
+	// safe sets, inline arming); recompute it on the next shared-cache touch.
 	m.sharedSigOK = false
 }
 

@@ -14,9 +14,9 @@ import (
 //
 //   - Entries are keyed by the image's content digest and by a signature of
 //     everything translation reads besides the code bytes (probe presence,
-//     safe/elided/hook/inline PC sets, RAM size). Two machines with equal
-//     keys produce bit-identical step slices, so whose translation a machine
-//     ends up with is unobservable.
+//     safe/elided/hook PC sets, inline arming and its quiet ranges, RAM
+//     size). Two machines with equal keys produce bit-identical step
+//     slices, so whose translation a machine ends up with is unobservable.
 //   - Only blocks whose whole page lies inside the image's text segment are
 //     shared, and only while the consuming/publishing machine's pageGen for
 //     that page is 0 — i.e. the page still holds pristine image bytes. Self-
@@ -125,7 +125,15 @@ func (m *Machine) sharedSigNow() uint64 {
 		sig = mix64(sig ^ uint64(m.cfg.RAMSize)<<16)
 		sig ^= pcSetSig(m.safeMem, 1)
 		sig ^= pcSetSig(m.elided, 2)
-		sig ^= pcSetSig(m.inlineMem, 3)
+		if m.inlineShadow != nil {
+			// Armed and unarmed machines must never share steps, nor armed
+			// ones with different quiet ranges.
+			q := uint64(3)
+			for _, r := range m.quiet {
+				q += mix64(uint64(r.Start)<<32 | uint64(r.End))
+			}
+			sig ^= mix64(q)
+		}
 		sig ^= hookSetSig(m.pcHooks)
 		m.sharedSig = sig
 		m.sharedSigOK = true

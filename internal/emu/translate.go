@@ -25,10 +25,10 @@ import (
 //     flush) and individually by the target's gen/pgen going stale (page
 //     invalidation — including text pages reverted by Restore). Healthy
 //     links survive Restore, so replay loops run chained end to end.
-//   - Inline shadow checks: access sites armed via SetInlineMemPCs test the
-//     common fully-addressable case against the sanitizer shadow inside the
-//     translated template and skip the delegate call entirely when it cannot
-//     observably act. Dispatch accounting (counters, trace, profile) is
+//   - Inline shadow checks: on a machine armed via ArmInlineChecks, every
+//     access site tests its access against the sanitizer shadow inside the
+//     translated template and skips the delegate call entirely when it
+//     provably cannot act. Dispatch accounting (counters, trace, profile) is
 //     identical on both paths, so fast-path runs stay byte-comparable.
 //   - Shared translation cache: machines running the same image content with
 //     the same translation-relevant configuration publish and consume
@@ -45,7 +45,8 @@ const (
 	stepHook
 	stepMemSafe // access proven safe: Mem probe skipped, counted as elided
 	stepElided  // FENCE pad left by link-time SANCK elision
-	stepInline  // access site armed with the in-template shadow fast path
+	stepInline  // access site armed with the in-template shadow check
+	stepQuiet   // armed site in a quiet range: the delegate never acts
 )
 
 type step struct {
@@ -193,18 +194,12 @@ func (m *Machine) translate(pc uint32) (*tb, FaultKind) {
 				if m.safeMem != nil && m.safeMem[cur] {
 					fl |= stepMemSafe
 				} else {
-					fl |= stepMem
-					if m.inlineMem != nil && m.inlineMem[cur] {
-						fl |= stepInline
-					}
+					fl |= stepMem | m.inlineFlags(cur)
 				}
 			}
 		case isa.ClassSanck:
 			if m.probes.Sanck != nil {
-				fl |= stepSanck
-				if m.inlineMem != nil && m.inlineMem[cur] {
-					fl |= stepInline
-				}
+				fl |= stepSanck | m.inlineFlags(cur)
 			}
 		default:
 			if inst.Op == isa.OpFENCE && m.probes.Sanck != nil && m.elided != nil && m.elided[cur] {
@@ -238,6 +233,21 @@ func (m *Machine) translate(pc uint32) (*tb, FaultKind) {
 	}
 	m.ctr.transInsts.Add(uint64(len(t.steps)))
 	return t, FaultNone
+}
+
+// inlineFlags returns the in-template check flags of an access site: none on
+// an unarmed machine, stepInline on an armed one, plus stepQuiet inside a
+// quiet range.
+func (m *Machine) inlineFlags(pc uint32) stepFlags {
+	if m.inlineShadow == nil {
+		return 0
+	}
+	for _, r := range m.quiet {
+		if pc >= r.Start && pc < r.End {
+			return stepInline | stepQuiet
+		}
+	}
+	return stepInline
 }
 
 // invalidateRange bumps the generation of code pages overlapping the range.
@@ -499,7 +509,7 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 			addr := r[in.Rs1] + uint32(in.Imm)
 			size := isa.AccessSize(in.Op)
 			if s.flags&stepMem != 0 {
-				if ex := m.fireMem(h, s.pc, addr, size, false, in.Op == isa.OpLRW, s.flags&stepInline != 0); ex != tbDone {
+				if ex := m.fireMem(h, s.pc, addr, size, false, in.Op == isa.OpLRW, s.flags); ex != tbDone {
 					return ex
 				}
 			} else if s.flags&stepMemSafe != 0 {
@@ -534,7 +544,7 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 			}
 			size := isa.AccessSize(in.Op)
 			if s.flags&stepMem != 0 {
-				if ex := m.fireMem(h, s.pc, addr, size, true, in.Op == isa.OpSCW, s.flags&stepInline != 0); ex != tbDone {
+				if ex := m.fireMem(h, s.pc, addr, size, true, in.Op == isa.OpSCW, s.flags); ex != tbDone {
 					return ex
 				}
 			} else if s.flags&stepMemSafe != 0 {
@@ -555,7 +565,7 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 		case isa.OpAMOADDW, isa.OpAMOSWAPW, isa.OpAMOORW, isa.OpAMOANDW:
 			addr := r[in.Rs1]
 			if s.flags&stepMem != 0 {
-				if ex := m.fireMem(h, s.pc, addr, 4, true, true, s.flags&stepInline != 0); ex != tbDone {
+				if ex := m.fireMem(h, s.pc, addr, 4, true, true, s.flags); ex != tbDone {
 					return ex
 				}
 			} else if s.flags&stepMemSafe != 0 {
@@ -699,17 +709,17 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 					m.prof.AddDispatch(s.pc)
 				}
 				if s.flags&stepInline != 0 {
-					if m.inlineClean(addr, size) {
+					if s.flags&stepQuiet != 0 || m.inlineClean(addr, size) {
 						m.ctr.inlineFast.Inc()
 						break
 					}
 					m.ctr.inlineSlow.Inc()
 				}
-				m.memEv = MemEvent{Hart: h.ID, PC: s.pc, Addr: addr, Size: size, Write: write, Atomic: atomic}
-				m.probes.Sanck(&m.memEv)
-				if m.memEv.StallInsts > 0 {
+				ev := m.event(h.ID, s.pc, addr, size, write, atomic)
+				m.probes.Sanck(ev)
+				if ev.StallInsts > 0 {
 					h.PC = s.pc
-					h.resumeAt = m.icnt + m.memEv.StallInsts
+					h.resumeAt = m.icnt + ev.StallInsts
 					return tbStall
 				}
 				if m.stop != StopNone {
@@ -728,10 +738,10 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 }
 
 // fireMem invokes the memory probe and translates its outcome. It returns
-// tbDone when execution should proceed with the access. An inline-armed site
-// performs the full dispatch accounting, then settles the common clean case
-// against the shadow in place and skips only the delegate call itself.
-func (m *Machine) fireMem(h *Hart, pc, addr, size uint32, write, atomic, inline bool) tbExit {
+// tbDone when execution should proceed with the access. An armed site
+// performs the full dispatch accounting, then skips only the delegate call
+// itself when the in-template check settles the access.
+func (m *Machine) fireMem(h *Hart, pc, addr, size uint32, write, atomic bool, fl stepFlags) tbExit {
 	m.ctr.memProbes.Inc()
 	if m.trace != nil {
 		m.trace.Emit(obs.Event{ICnt: m.icnt, PC: pc, Addr: addr,
@@ -740,18 +750,18 @@ func (m *Machine) fireMem(h *Hart, pc, addr, size uint32, write, atomic, inline 
 	if m.prof != nil {
 		m.prof.AddDispatch(pc)
 	}
-	if inline {
-		if m.inlineClean(addr, size) {
+	if fl&stepInline != 0 {
+		if fl&stepQuiet != 0 || m.inlineClean(addr, size) {
 			m.ctr.inlineFast.Inc()
 			return tbDone
 		}
 		m.ctr.inlineSlow.Inc()
 	}
-	m.memEv = MemEvent{Hart: h.ID, PC: pc, Addr: addr, Size: size, Write: write, Atomic: atomic}
-	m.probes.Mem(&m.memEv)
-	if m.memEv.StallInsts > 0 {
+	ev := m.event(h.ID, pc, addr, size, write, atomic)
+	m.probes.Mem(ev)
+	if ev.StallInsts > 0 {
 		h.PC = pc
-		h.resumeAt = m.icnt + m.memEv.StallInsts
+		h.resumeAt = m.icnt + ev.StallInsts
 		// Undo the retired-instruction count for the access we did not run.
 		m.icnt--
 		return tbStall
@@ -763,18 +773,42 @@ func (m *Machine) fireMem(h *Hart, pc, addr, size uint32, write, atomic, inline 
 	return tbDone
 }
 
-// inlineClean is the in-template shadow test: true only when the access
-// provably needs no sanitizer attention — at or above the null guard, fully
-// covered by the shadow, and with both boundary granules completely
-// addressable (shadow byte 0). Accesses are at most 4 bytes, so they span at
-// most two 8-byte granules. Partially-valid granules (codes 1..7), poison,
-// MMIO and out-of-shadow addresses all fall through to the delegate; a nil
-// inline shadow makes the bounds test fail, so an armed site without an
-// installed shadow degrades to the plain dispatch path.
+// event refills the reused probe event in place, one field at a time: a
+// composite-literal assignment stalls store forwarding on this hot path.
+// StallInsts is an out-parameter, so it restarts at 0 on every dispatch.
+func (m *Machine) event(hart int, pc, addr, size uint32, write, atomic bool) *MemEvent {
+	ev := &m.memEv
+	ev.Hart, ev.PC, ev.Addr, ev.Size = hart, pc, addr, size
+	ev.Write, ev.Atomic, ev.StallInsts = write, atomic, 0
+	return ev
+}
+
+// inlineClean is the in-template shadow test for an access of at most 8
+// bytes (at most two granules). It is true only where a pure-KASAN delegate
+// provably does nothing:
+//
+//   - device memory (addr >= MMIOBase), which the delegate never sanitizes;
+//   - an access at or above the null guard whose granules are all fully
+//     addressable (shadow byte 0);
+//   - a single-granule access ending inside the valid prefix of a partial
+//     granule (shadow code 1..7) — exactly when Shadow.Check passes it.
+//
+// Poison, partial granules straddled by the access, the null guard and
+// out-of-shadow addresses fall through to the delegate.
 func (m *Machine) inlineClean(addr, size uint32) bool {
+	if addr >= MMIOBase {
+		return true
+	}
 	sh := m.inlineShadow
-	last := (addr + size - 1) >> 3
-	return addr >= NullGuardSize && last < uint32(len(sh)) && sh[addr>>3]|sh[last] == 0
+	g, last := addr>>3, (addr+size-1)>>3
+	if addr < NullGuardSize || last >= uint32(len(sh)) {
+		return false
+	}
+	sb := sh[g]
+	if sb != 0 && sb < 8 { // partial: an access leaving the granule never fits
+		return addr&7+size <= uint32(sb)
+	}
+	return sb|sh[last] == 0
 }
 
 func (m *Machine) clearReservations(addr uint32, except *Hart) {

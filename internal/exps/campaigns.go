@@ -148,21 +148,10 @@ type warmed struct {
 	proof    absint.Stats       // static safety-proof tally, computed once
 }
 
-// inlineHotDispatches is the profiler threshold for arming the in-template
-// shadow fast path: access sites that dispatched at least this often during
-// the warm-up workload (boot + trigger labelling) are considered hot. The
-// warm-up is deliberately short, so the bar is low: a site a single trigger
-// replay crosses a handful of times is a loop body or shared parser path
-// that a 30k-exec campaign will cross millions of times. The threshold only
-// trades speed — unarmed sites dispatch normally.
-const inlineHotDispatches = 4
-
 // warmUp boots fw and labels its seeded bugs. The machine seed depends only
 // on the base seed, so every worker warming the same firmware reaches the
 // bit-identical snapshot. Unless noFast asks for the pre-fast-path engine,
-// the warm-up workload is profiled and the hottest dispatch sites are armed
-// with the inline shadow fast path — a pure function of (fw, baseSeed,
-// elide), so pooled machines on every worker arm the same sites.
+// every access site is armed with the in-template shadow check.
 func warmUp(fw *firmware.Firmware, baseSeed int64, elide, noFast, noGuide bool) (*warmed, error) {
 	sans := []string{"kasan"}
 	for _, b := range fw.Bugs {
@@ -191,10 +180,8 @@ func warmUp(fw *firmware.Firmware, baseSeed int64, elide, noFast, noGuide bool) 
 	if err != nil {
 		return nil, fmt.Errorf("exps: %s: %w", fw.Name, err)
 	}
-	var prof *obs.Profile
 	if !noFast {
-		prof = obs.NewProfile()
-		inst.Machine.SetProfile(prof)
+		inst.EnableInlineFastPath(nil)
 	}
 	if err := inst.Boot(200_000_000); err != nil {
 		return nil, fmt.Errorf("exps: %s: %w", fw.Name, err)
@@ -224,20 +211,6 @@ func warmUp(fw *firmware.Firmware, baseSeed int64, elide, noFast, noGuide bool) 
 		res := inst.Exec(b.Trigger, 100_000_000)
 		if len(res.Reports) > 0 {
 			w.sigToBug[res.Reports[0].Signature()] = b
-		}
-	}
-	if prof != nil {
-		// The warm-up workload's dispatch-cost table picks the inline
-		// fast-path candidates; campaigns then run unprofiled.
-		inst.Machine.SetProfile(nil)
-		var hot []uint32
-		for _, site := range prof.DispatchSites(nil) {
-			if site.Count >= inlineHotDispatches {
-				hot = append(hot, site.PC)
-			}
-		}
-		if len(hot) > 0 {
-			inst.EnableInlineFastPath(hot)
 		}
 	}
 	return w, nil

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"embsan/internal/emu"
+	"embsan/internal/guest/firmware"
 )
 
 // The translation-engine fast paths — TB exit chaining, the in-template
@@ -15,7 +16,7 @@ import (
 // block graph, never anything a campaign can observe. The tests in this file
 // are the differential oracle for that contract. The slow reference is the
 // same engine with CampaignOptions.NoFastPaths / emu.Config.{NoChain,
-// NoSharedTB} set and no inline sites armed, i.e. the pre-fast-path
+// NoSharedTB} set and the in-template check unarmed, i.e. the pre-fast-path
 // dispatcher on every transfer.
 
 // execDigest canonically serialises everything one execution exposes: the
@@ -48,11 +49,13 @@ func execDigest(w *warmed, input []byte) string {
 // TestFastPathLockstepOracle runs the fast and the slow engine in lockstep
 // over the same deterministic workload — every seeded bug trigger and every
 // corpus seed, one Restore+Exec each — and requires byte-identical execution
-// digests at every step. The firmware picks cover all three deployment
-// shapes: EMBSAN-C (inline SANCK sites), EMBSAN-D (inline Mem-probe sites)
-// and an RTOS image.
+// digests at every step. The firmware picks cover the deployment shapes:
+// EMBSAN-C (inline SANCK sites: armvirt, rk3566), EMBSAN-D (inline
+// Mem-probe sites: bcm63xx) and RTOS images, one of them (LiteOS on
+// stm32mp1) with suppressed allocator ranges.
 func TestFastPathLockstepOracle(t *testing.T) {
-	for _, name := range []string{"OpenWRT-armvirt", "OpenWRT-bcm63xx", "InfiniTime"} {
+	for _, name := range []string{"OpenWRT-armvirt", "OpenWRT-bcm63xx", "InfiniTime",
+		"OpenHarmony-stm32mp1", "OpenHarmony-rk3566"} {
 		t.Run(name, func(t *testing.T) {
 			fw := buildSubset(t, name)[0]
 			fast, err := warmUp(fw, 7, false, false, false)
@@ -95,27 +98,32 @@ func TestFastPathLockstepOracle(t *testing.T) {
 	}
 }
 
-// TestFastPathInlineEngages: on a pure-KASAN deployment, the warm-up
-// profiler must actually arm hot access sites and the armed template must
-// settle clean dispatches without the delegate — otherwise the inline fast
-// path silently never runs and the lockstep oracle above proves nothing
-// about it.
+// TestFastPathInlineEngages: on every pure-KASAN registry deployment the
+// armed template must actually settle dispatches without the delegate —
+// otherwise the in-template check silently never runs there and the
+// lockstep oracle above proves nothing about it.
 func TestFastPathInlineEngages(t *testing.T) {
-	var inline uint64
-	for _, name := range []string{"OpenWRT-armvirt", "OpenWRT-bcm63xx"} {
-		fw := buildSubset(t, name)[0]
-		fast, err := warmUp(fw, 7, false, false, false)
+	fws, err := firmware.BuildAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fw := range fws {
+		w, err := warmUp(fw, 7, false, false, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range fw.Seeds {
-			fast.inst.Restore()
-			fast.inst.Exec(s, 100_000_000)
+		if w.inst.Runtime.KCSANEngine() != nil {
+			continue // KCSAN observes clean dispatches: never armed
 		}
-		inline += fast.inst.Machine.Counters().InlineFast
-	}
-	if inline == 0 {
-		t.Error("no inline fast-path hit on any pure-KASAN deployment")
+		before := w.inst.Machine.Counters()
+		for _, s := range fw.Seeds {
+			w.inst.Restore()
+			w.inst.Exec(s, 100_000_000)
+		}
+		if d := w.inst.Machine.Counters().Sub(before); d.InlineFast == 0 {
+			t.Errorf("%s: no inline fast-path hit over %d seeds (%d mem probes, %d sanck traps)",
+				fw.Name, len(fw.Seeds), d.MemProbes, d.SanckTraps)
+		}
 	}
 }
 

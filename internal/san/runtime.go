@@ -598,32 +598,22 @@ func (rt *Runtime) KASANEngine() *KASAN { return rt.kasan }
 // KCSANEngine exposes the KCSAN engine (nil when not configured).
 func (rt *Runtime) KCSANEngine() *KCSAN { return rt.kcsan }
 
-// InstallInlineFastPath arms the machine's in-template shadow fast path for
-// the given access-site PCs (normally the profiler's hottest dispatch
-// sites). It returns false — arming nothing — when skipping a clean
+// InstallInlineFastPath arms the machine's in-template shadow check at every
+// access site. It returns false — arming nothing — when skipping a clean
 // dispatch would be observable: KCSAN samples watchpoints statefully on
 // every access, UBSAN reports misalignment on perfectly addressable memory,
-// and without KASAN there is no shadow to test. Suppressed sites are
-// filtered out rather than armed, since their delegate deliberately ignores
-// even poisoned accesses. For the surviving pure-KASAN sites, a dispatch
-// whose access lies wholly in addressable shadow is a no-op in the
-// delegate, so settling it in the template is behaviour-preserving.
-func (rt *Runtime) InstallInlineFastPath(pcs []uint32) bool {
+// and without KASAN there is no shadow to test. For pure KASAN, onMem is a
+// no-op on every access the template settles, and at suppressed PCs it
+// returns before any engine runs, so those sites skip the delegate outright.
+func (rt *Runtime) InstallInlineFastPath() bool {
 	if rt.kasan == nil || rt.kcsan != nil || rt.ubsan {
 		return false
 	}
-	armed := make([]uint32, 0, len(pcs))
-nextPC:
-	for _, pc := range pcs {
-		for _, r := range rt.suppress {
-			if r.Contains(pc) {
-				continue nextPC
-			}
-		}
-		armed = append(armed, pc)
+	quiet := make([]emu.PCRange, len(rt.suppress))
+	for i, r := range rt.suppress {
+		quiet[i] = emu.PCRange(r)
 	}
-	rt.m.SetInlineShadow(rt.kasan.Shadow().Bytes())
-	rt.m.SetInlineMemPCs(armed)
+	rt.m.ArmInlineChecks(rt.kasan.Shadow().Bytes(), quiet)
 	return true
 }
 
