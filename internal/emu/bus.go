@@ -84,7 +84,7 @@ type Device interface {
 // dispatch, and NULL/unmapped fault generation.
 type bus struct {
 	ram     []byte
-	order   binary.ByteOrder
+	big     bool     // guest byte order is big-endian (MIPS32E)
 	dirty   []uint64 // one bit per RAM page, set on write
 	devices []Device
 
@@ -107,8 +107,11 @@ func (b *bus) device(addr uint32) Device {
 }
 
 func (b *bus) markDirty(addr, size uint32) {
-	first := addr >> pageShift
-	last := (addr + size - 1) >> pageShift
+	first, last := addr>>pageShift, (addr+size-1)>>pageShift
+	if first == last {
+		b.dirty[first>>6] |= 1 << (first & 63)
+		return
+	}
 	for p := first; p <= last; p++ {
 		b.dirty[p>>6] |= 1 << (p & 63)
 	}
@@ -117,14 +120,17 @@ func (b *bus) markDirty(addr, size uint32) {
 // read returns the value at addr. A non-nil fault kind signals a bus error.
 func (b *bus) read(addr, size uint32) (uint32, FaultKind) {
 	if b.inRAM(addr, size) {
-		switch size {
-		case 1:
+		switch {
+		case size == 1:
 			return uint32(b.ram[addr]), FaultNone
-		case 2:
-			return uint32(b.order.Uint16(b.ram[addr:])), FaultNone
-		default:
-			return b.order.Uint32(b.ram[addr:]), FaultNone
+		case size == 2 && b.big:
+			return uint32(binary.BigEndian.Uint16(b.ram[addr:])), FaultNone
+		case size == 2:
+			return uint32(binary.LittleEndian.Uint16(b.ram[addr:])), FaultNone
+		case b.big:
+			return binary.BigEndian.Uint32(b.ram[addr:]), FaultNone
 		}
+		return binary.LittleEndian.Uint32(b.ram[addr:]), FaultNone
 	}
 	if addr >= MMIOBase {
 		if d := b.device(addr); d != nil {
@@ -142,13 +148,17 @@ func (b *bus) read(addr, size uint32) (uint32, FaultKind) {
 func (b *bus) write(addr, size, val uint32) FaultKind {
 	if b.inRAM(addr, size) {
 		b.markDirty(addr, size)
-		switch size {
-		case 1:
+		switch {
+		case size == 1:
 			b.ram[addr] = byte(val)
-		case 2:
-			b.order.PutUint16(b.ram[addr:], uint16(val))
+		case size == 2 && b.big:
+			binary.BigEndian.PutUint16(b.ram[addr:], uint16(val))
+		case size == 2:
+			binary.LittleEndian.PutUint16(b.ram[addr:], uint16(val))
+		case b.big:
+			binary.BigEndian.PutUint32(b.ram[addr:], val)
 		default:
-			b.order.PutUint32(b.ram[addr:], val)
+			binary.LittleEndian.PutUint32(b.ram[addr:], val)
 		}
 		return FaultNone
 	}

@@ -247,6 +247,64 @@ func TestLRSCConflict(t *testing.T) {
 	}
 }
 
+// TestRestoreStraddlingStore: a store across a page boundary dirties both
+// pages, so Restore reverts both.
+func TestRestoreStraddlingStore(t *testing.T) {
+	const boundary = 0x8000
+	b := kasm.NewBuilder(kasm.Target{Arch: isa.ArchARM32E})
+	b.Func("_start")
+	b.Ready()
+	b.Li(rA1, boundary-2)
+	b.Li(rT0, -1)
+	b.SW(rT0, rA1, 0)
+	b.Li(rA0, 0)
+	exitWith(b)
+	m := newMachine(t, mustLink(t, b, "straddle"))
+	m.ReadyHook = func(m *Machine) { m.Snapshot() }
+	m.Run(0)
+	if got, _ := m.ReadBytes(boundary-2, 4); string(got) != "\xff\xff\xff\xff" {
+		t.Fatalf("store wrote % x", got)
+	}
+	m.Restore()
+	if got, _ := m.ReadBytes(boundary-2, 4); string(got) != "\x00\x00\x00\x00" {
+		t.Errorf("after Restore: % x, want zeros on both pages", got)
+	}
+}
+
+// TestStoreBreaksOtherHartsReservation: a store by another hart breaks an
+// LR reservation, also one the harts got back from a Restore.
+func TestStoreBreaksOtherHartsReservation(t *testing.T) {
+	b := kasm.NewBuilder(kasm.Target{Arch: isa.ArchARM32E})
+	b.GlobalRaw("w", 4)
+	b.Func("_start")
+	b.La(rT1, "w")
+	b.LRW(rT0, rT1)
+	b.Ready() // the snapshot holds hart 0's reservation
+	b.Li(rA0, 1)
+	b.La(rA1, "other")
+	b.Li(rA2, 0)
+	b.HCALL(isa.HcallSpawn)
+	b.YIELD() // hart 1 stores to w and halts
+	b.Li(rT0, 5)
+	b.SCW(rA0, rT1, rT0) // must fail: a0 = 1
+	exitWith(b)
+	b.Func("other")
+	b.La(rT1, "w")
+	b.Li(rT0, 9)
+	b.SW(rT0, rT1, 0)
+	b.HALT()
+	m := newMachine(t, mustLink(t, b, "lrbreak"))
+	m.ReadyHook = func(m *Machine) { m.Snapshot() }
+	for run := 0; run < 2; run++ {
+		if run > 0 {
+			m.Restore()
+		}
+		if r := m.Run(0); r != StopExit || m.ExitCode() != 1 {
+			t.Errorf("run %d: stop=%v exit=%d, want SC failure (1)", run, r, m.ExitCode())
+		}
+	}
+}
+
 func TestMemProbeFiresAndCanStop(t *testing.T) {
 	b := kasm.NewBuilder(kasm.Target{Arch: isa.ArchARM32E})
 	b.GlobalRaw("buf", 8)
@@ -510,9 +568,13 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestCoverageHook pins the hook's contract: one report per block entry PC
+// per installation, however often the block runs, and a fresh report of
+// every block after the hook is installed again.
 func TestCoverageHook(t *testing.T) {
 	b := kasm.NewBuilder(kasm.Target{Arch: isa.ArchARM32E})
 	b.Func("_start")
+	b.Ready()
 	b.Li(rT0, 3)
 	b.Label("spin")
 	b.ADDI(rT0, rT0, -1)
@@ -520,12 +582,42 @@ func TestCoverageHook(t *testing.T) {
 	b.Li(rA0, 0)
 	exitWith(b)
 	m := newMachine(t, mustLink(t, b, "cov"))
+	m.ReadyHook = func(m *Machine) { m.Snapshot() }
 	pcs := map[uint32]int{}
-	m.CoverageHook = func(pc uint32) { pcs[pc]++ }
-	m.Run(0)
-	if len(pcs) < 2 {
-		t.Errorf("coverage saw %d blocks", len(pcs))
+	hook := func(pc uint32) { pcs[pc]++ }
+	if prev := m.SetCoverageHook(hook); prev != nil {
+		t.Fatal("a fresh machine has a coverage hook")
 	}
+	want := func(n int) {
+		t.Helper()
+		if len(pcs) < 2 {
+			t.Fatalf("coverage saw %d blocks", len(pcs))
+		}
+		for pc, c := range pcs {
+			if c != n {
+				t.Errorf("block %#x reported %d times, want %d", pc, c, n)
+			}
+		}
+	}
+	m.Run(0)
+	if c := m.Counters(); c.ChainHits+c.Dispatches <= uint64(len(pcs)) {
+		t.Fatalf("premise: %d block entries for %d blocks, the loop never re-entered one",
+			c.ChainHits+c.Dispatches, len(pcs))
+	}
+	want(1)
+	m.Restore()
+	m.Run(0)
+	want(1)
+	m.Restore()
+	if prev := m.SetCoverageHook(hook); prev == nil {
+		t.Fatal("SetCoverageHook did not return the installed hook")
+	}
+	m.Run(0)
+	want(2)
+	m.Restore()
+	m.SetCoverageHook(nil)
+	m.Run(0)
+	want(2)
 }
 
 func TestCSRs(t *testing.T) {

@@ -8,10 +8,18 @@ import (
 	"embsan/internal/kasm"
 )
 
+// fuzzArches are the frontends the differential covers; MIPS32E is the one
+// big-endian RAM path.
+var fuzzArches = [...]isa.Arch{isa.ArchARM32E, isa.ArchMIPS32E, isa.ArchX86E}
+
+// fuzzArch derives the frontend from the seed byte's top two bits, so the
+// low bits keep seeding interleaving jitter.
+func fuzzArch(seed uint8) isa.Arch { return fuzzArches[int(seed>>6)%len(fuzzArches)] }
+
 // fuzzImage wraps raw fuzzer bytes into a loadable image: word-aligned text
 // at a base past the null guard, capped so a run stays cheap. Returns nil
 // when the input cannot form even one instruction word.
-func fuzzImage(code []byte) *kasm.Image {
+func fuzzImage(code []byte, arch isa.Arch) *kasm.Image {
 	const maxText = 1024
 	if len(code) > maxText {
 		code = code[:maxText]
@@ -22,17 +30,18 @@ func fuzzImage(code []byte) *kasm.Image {
 	}
 	return &kasm.Image{
 		Name:  "fuzz",
-		Arch:  isa.ArchARM32E,
+		Arch:  arch,
 		Base:  NullGuardSize,
 		Entry: NullGuardSize,
 		Text:  code,
 	}
 }
 
-// encodeProgram assembles a builder program and returns its text bytes — the
-// seed-corpus path from structured programs into the fuzzer's byte domain.
-func encodeProgram(f *testing.F, build func(b *kasm.Builder)) []byte {
-	b := kasm.NewBuilder(kasm.Target{Arch: isa.ArchARM32E})
+// encodeProgram assembles a builder program for the seed's frontend and
+// returns its text bytes — the seed-corpus path from structured programs
+// into the fuzzer's byte domain.
+func encodeProgram(f *testing.F, seed uint8, build func(b *kasm.Builder)) []byte {
+	b := kasm.NewBuilder(kasm.Target{Arch: fuzzArch(seed)})
 	build(b)
 	img, err := b.Link("seed")
 	if err != nil {
@@ -41,15 +50,57 @@ func encodeProgram(f *testing.F, build func(b *kasm.Builder)) []byte {
 	return img.Text
 }
 
-// FuzzChainedExecution runs arbitrary short programs on the chained and the
-// unchained engine in lockstep and requires identical outcomes: stop reason,
-// fault, retired-instruction count, every register of every hart, and the
-// final RAM contents. Random words decode into branch sprays, self-loops,
-// overlapping blocks and mid-block jump targets — exactly the block-graph
-// shapes where a bad successor computation or a stale chain link would
-// diverge first.
+// sameOutcome fails unless two runs of one program agree on everything the
+// guest can observe: stop reason, exit code, fault, retired-instruction
+// count, every hart's state and the final RAM contents.
+func sameOutcome(t *testing.T, leg string, want, got *Machine) {
+	t.Helper()
+	if want.StopReason() != got.StopReason() {
+		t.Fatalf("%s: stop diverged: want %v, got %v", leg, want.StopReason(), got.StopReason())
+	}
+	if want.ExitCode() != got.ExitCode() {
+		t.Fatalf("%s: exit diverged: want %d, got %d", leg, want.ExitCode(), got.ExitCode())
+	}
+	if want.ICount() != got.ICount() {
+		t.Fatalf("%s: icnt diverged: want %d, got %d", leg, want.ICount(), got.ICount())
+	}
+	wf, gf := want.Fault(), got.Fault()
+	if (wf == nil) != (gf == nil) || wf != nil && *wf != *gf {
+		t.Fatalf("%s: fault diverged: want %+v, got %+v", leg, wf, gf)
+	}
+	for i := 0; i < want.NumHarts(); i++ {
+		wh, gh := want.Hart(i), got.Hart(i)
+		if wh.PC != gh.PC || wh.Regs != gh.Regs || wh.Active != gh.Active || wh.Halted != gh.Halted {
+			t.Fatalf("%s: hart %d diverged:\nwant pc=%#x regs=%v\ngot  pc=%#x regs=%v",
+				leg, i, wh.PC, wh.Regs, gh.PC, gh.Regs)
+		}
+	}
+	wram, err1 := want.ReadBytes(NullGuardSize, want.RAMSize()-NullGuardSize)
+	gram, err2 := got.ReadBytes(NullGuardSize, got.RAMSize()-NullGuardSize)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("%s: ram read: %v / %v", leg, err1, err2)
+	}
+	if !bytes.Equal(wram, gram) {
+		t.Fatalf("%s: final RAM diverged", leg)
+	}
+}
+
+// FuzzChainedExecution runs arbitrary short programs on the chained engine
+// and on its ablations and requires identical outcomes (sameOutcome). The
+// seed byte picks the frontend (fuzzArch) and the interleaving seed. Random
+// words decode into branch sprays, self-loops, overlapping blocks, mid-block
+// jump targets and stores into text — exactly the block-graph shapes where
+// a bad successor computation or a stale chain link would diverge first.
+//
+// Legs: the unchained engine (NoChain) and the uncached one (NoTBCache)
+// must match one chained Run. A chained run in seed-derived budget slices
+// stops mid-block over and over and must match one chained Run too. Slicing
+// moves block boundaries and cuts scheduling quanta short, so that leg runs
+// on one hart without jitter and compares only programs that never write
+// their own text: a block runs the steps it decoded at entry, and a store
+// into a later step of the running block shows at the next boundary.
 func FuzzChainedExecution(f *testing.F) {
-	f.Add(uint8(0), encodeProgram(f, func(b *kasm.Builder) {
+	f.Add(uint8(0), encodeProgram(f, 0, func(b *kasm.Builder) {
 		b.Func("_start") // counted self-loop: the canonical chain
 		b.Li(rT0, 40)
 		b.Label("loop")
@@ -58,7 +109,7 @@ func FuzzChainedExecution(f *testing.F) {
 		b.BNEZ(rT0, "loop")
 		b.HCALL(isa.HcallExit)
 	}))
-	f.Add(uint8(3), encodeProgram(f, func(b *kasm.Builder) {
+	f.Add(uint8(3), encodeProgram(f, 3, func(b *kasm.Builder) {
 		b.Func("_start") // call/return: JAL chain in, JALR (unchained) out
 		b.Li(rT0, 10)
 		b.Label("loop")
@@ -70,7 +121,7 @@ func FuzzChainedExecution(f *testing.F) {
 		b.ADDI(rA0, rA0, 3)
 		b.Ret()
 	}))
-	f.Add(uint8(7), encodeProgram(f, func(b *kasm.Builder) {
+	f.Add(uint8(7), encodeProgram(f, 7, func(b *kasm.Builder) {
 		b.Func("_start") // branch ladder: both exits of each block exercised
 		b.Li(rT0, 6)
 		b.Label("a")
@@ -86,58 +137,57 @@ func FuzzChainedExecution(f *testing.F) {
 	f.Add(uint8(1), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00})
 
 	f.Fuzz(func(t *testing.T, seed uint8, code []byte) {
-		img := fuzzImage(code)
+		img := fuzzImage(code, fuzzArch(seed))
 		if img == nil {
 			t.Skip()
 		}
 		const budget = 4096
-		run := func(noChain bool) *Machine {
-			m, err := New(img, Config{
-				RAMSize: 1 << 20, MaxHarts: 2, Seed: uint64(seed),
-				NoChain: noChain, NoSharedTB: true,
-			})
+		newM := func(cfg Config) *Machine {
+			cfg.RAMSize, cfg.NoSharedTB = 1<<20, true
+			m, err := New(img, cfg)
 			if err != nil {
 				t.Skip() // image rejected (e.g. doesn't fit): nothing to compare
 			}
+			return m
+		}
+		base := Config{MaxHarts: 2, Seed: uint64(seed)}
+		run := func(cfg Config) *Machine {
+			m := newM(cfg)
 			m.Run(budget)
 			return m
 		}
-		chained := run(false)
-		plain := run(true)
-
-		if chained.StopReason() != plain.StopReason() {
-			t.Fatalf("stop diverged: chained %v, plain %v", chained.StopReason(), plain.StopReason())
-		}
-		if chained.ExitCode() != plain.ExitCode() {
-			t.Fatalf("exit diverged: chained %d, plain %d", chained.ExitCode(), plain.ExitCode())
-		}
-		if chained.ICount() != plain.ICount() {
-			t.Fatalf("icnt diverged: chained %d, plain %d", chained.ICount(), plain.ICount())
-		}
-		cf, pf := chained.Fault(), plain.Fault()
-		if (cf == nil) != (pf == nil) {
-			t.Fatalf("fault diverged: chained %+v, plain %+v", cf, pf)
-		}
-		if cf != nil && *cf != *pf {
-			t.Fatalf("fault diverged: chained %+v, plain %+v", cf, pf)
-		}
-		for i := 0; i < chained.NumHarts(); i++ {
-			ch, ph := chained.Hart(i), plain.Hart(i)
-			if ch.PC != ph.PC || ch.Regs != ph.Regs || ch.Active != ph.Active || ch.Halted != ph.Halted {
-				t.Fatalf("hart %d diverged:\nchained pc=%#x regs=%v\nplain   pc=%#x regs=%v",
-					i, ch.PC, ch.Regs, ph.PC, ph.Regs)
-			}
-		}
-		cram, err1 := chained.ReadBytes(NullGuardSize, chained.RAMSize()-NullGuardSize)
-		pram, err2 := plain.ReadBytes(NullGuardSize, plain.RAMSize()-NullGuardSize)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("ram read: %v / %v", err1, err2)
-		}
-		if !bytes.Equal(cram, pram) {
-			t.Fatal("final RAM diverged between chained and unchained execution")
-		}
+		chained := run(base)
+		plainCfg := base
+		plainCfg.NoChain = true
+		plain := run(plainCfg)
+		sameOutcome(t, "NoChain", chained, plain)
 		if plain.Counters().ChainHits != 0 {
 			t.Fatalf("NoChain engine followed %d exit links", plain.Counters().ChainHits)
 		}
+		uncachedCfg := base
+		uncachedCfg.NoTBCache = true
+		sameOutcome(t, "NoTBCache", chained, run(uncachedCfg))
+
+		solo := Config{MaxHarts: 1}
+		sliced := newM(solo)
+		slice := 1 + uint64(seed)%13
+		for sliced.ICount() < budget {
+			if sliced.Run(min(slice, budget-sliced.ICount())) != StopBudget {
+				break
+			}
+		}
+		if whole := run(solo); !wroteText(whole) && !wroteText(sliced) {
+			sameOutcome(t, "sliced", whole, sliced)
+		}
 	})
+}
+
+// wroteText reports whether any text page of m was invalidated by a write.
+func wroteText(m *Machine) bool {
+	for _, g := range m.pageGen {
+		if g != 0 {
+			return true
+		}
+	}
+	return false
 }

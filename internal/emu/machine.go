@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"embsan/internal/isa"
@@ -145,9 +146,17 @@ type Machine struct {
 	tbs       map[uint32]*tb
 	pageGen   []uint32
 	globalGen uint32
-	// chainGen stamps TB exit links; bumping it (Restore, any TB flush)
-	// severs every installed chain at once without walking the cache.
-	chainGen uint32
+	// chainGen stamps TB exit links and jump-cache entries. Every TB flush
+	// and text-page invalidation bumps it, severing every link at once, so a
+	// matching stamp proves a fresh target. It starts above the zero stamp
+	// and is 64 bits wide so it never wraps back to an old one.
+	chainGen uint64
+	// textDirty marks the pages whose text bytes were written since the
+	// last Snapshot or Restore: Restore invalidates them when it reverts.
+	textDirty []uint64
+	// resHeld is false only while no hart holds an LR reservation, letting
+	// stores skip the reservation sweep.
+	resHeld bool
 
 	// sharedTBs is this image's slot in the process-global translation
 	// cache (nil with NoSharedTB); sharedSig keys the machine's
@@ -186,9 +195,10 @@ type Machine struct {
 	ReadyReached bool
 	ReadyHook    func(m *Machine)
 
-	// CoverageHook fires on every translation-block entry — the OS-agnostic
-	// coverage mechanism the Tardis frontend relies on.
-	CoverageHook func(pc uint32)
+	// coverHook fires once per block per installation (SetCoverageHook):
+	// a block reports when its stamp differs from coverGen, which starts at 1.
+	coverHook func(pc uint32)
+	coverGen  uint32
 
 	// CmpHook fires on every failed equality branch (BEQ/BNE with unequal
 	// operands), exposing both operand values — the comparison feedback
@@ -328,14 +338,16 @@ func New(img *kasm.Image, cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("emu: image needs %#x bytes of RAM, machine has %#x", img.MemTop(), cfg.RAMSize)
 	}
 	m := &Machine{
-		cfg:     cfg,
-		arch:    img.Arch,
-		image:   img,
-		pcHooks: make(map[uint32]HookFn),
-		hypers:  make(map[int32]HyperFn),
-		tbs:     make(map[uint32]*tb),
-		rng:     cfg.Seed | 1,
-		metrics: obs.NewRegistry(),
+		cfg:      cfg,
+		arch:     img.Arch,
+		image:    img,
+		pcHooks:  make(map[uint32]HookFn),
+		hypers:   make(map[int32]HyperFn),
+		tbs:      make(map[uint32]*tb),
+		rng:      cfg.Seed | 1,
+		metrics:  obs.NewRegistry(),
+		chainGen: 1,
+		coverGen: 1,
 	}
 	m.ctr = machineCounters{
 		tbHits:       m.metrics.Counter("emu.tb.hits"),
@@ -361,8 +373,9 @@ func New(img *kasm.Image, cfg Config) (*Machine, error) {
 	m.bus.ram = make([]byte, cfg.RAMSize)
 	m.bus.devReads = m.ctr.devReads
 	m.bus.devWrites = m.ctr.devWrites
-	m.bus.order = img.Arch.ByteOrder()
+	m.bus.big = img.Arch.ByteOrder() == binary.BigEndian
 	m.bus.dirty = make([]uint64, (cfg.RAMSize>>pageShift+63)/64)
+	m.textDirty = make([]uint64, len(m.bus.dirty))
 	m.pageGen = make([]uint32, cfg.RAMSize>>pageShift)
 
 	m.UART = &UART{}
@@ -545,6 +558,16 @@ func (m *Machine) ClearStop() {
 	}
 }
 
+// SetCoverageHook installs fn (nil removes it) and returns the previous
+// hook. fn gets each translation block's entry PC once per installation —
+// the OS-agnostic coverage mechanism the Tardis frontend relies on — so it
+// must be idempotent per PC for as long as it stays installed.
+func (m *Machine) SetCoverageHook(fn func(pc uint32)) (prev func(pc uint32)) {
+	prev, m.coverHook = m.coverHook, fn
+	m.coverGen++
+	return prev
+}
+
 // SetProbes installs the instrumentation probe set, retranslating all code.
 func (m *Machine) SetProbes(p ProbeSet) {
 	m.probes = p
@@ -681,10 +704,20 @@ func (m *Machine) ReadWord(addr uint32) (uint32, error) {
 
 // WriteWord writes a data word with the guest byte order.
 func (m *Machine) WriteWord(addr, v uint32) error {
-	if f := m.bus.write(addr, 4, v); f != FaultNone {
+	if f := m.write(addr, 4, v); f != FaultNone {
 		return fmt.Errorf("emu: WriteWord fault at %#x: %s", addr, f)
 	}
 	return nil
+}
+
+// write is the store path of every store, SC, AMO and WriteWord: the bus
+// marks RAM dirty, then any text the write overwrote is invalidated.
+func (m *Machine) write(addr, size, val uint32) FaultKind {
+	f := m.bus.write(addr, size, val)
+	if f == FaultNone {
+		m.invalidateRange(addr, size)
+	}
+	return f
 }
 
 // ---- snapshot / restore ----
@@ -699,9 +732,8 @@ func (m *Machine) Snapshot() {
 	m.snapHarts = append(m.snapHarts[:0], m.harts...)
 	m.snapReady = m.ReadyReached
 	m.snapICnt = m.icnt
-	for i := range m.bus.dirty {
-		m.bus.dirty[i] = 0
-	}
+	clear(m.bus.dirty)
+	clear(m.textDirty)
 	m.hasSnap = true
 	if m.trace != nil {
 		m.trace.Emit(obs.Event{ICnt: m.icnt, Kind: obs.EvSnapshot, Hart: uint8(m.cur)})
@@ -725,27 +757,27 @@ func (m *Machine) Restore() {
 			off := p << pageShift
 			copy(m.bus.ram[off:off+pageSize], m.pristine[off:off+pageSize])
 			m.ctr.restorePages.Inc()
-			// Reverting the page's bytes is a write like any other: if the
-			// page holds text that was modified after the snapshot, every TB
-			// translated from the modified bytes is now stale and must not
-			// serve the restored code. invalidateRange bumps the page
-			// generation (it early-returns for pure data pages), which kills
-			// both the dispatcher's cached TBs and any exit links into them.
-			m.invalidateRange(off, pageSize)
+			// Reverting text written since the snapshot stales every TB
+			// translated from it. A page dirtied only by data stores keeps
+			// its translations and the links into them.
+			if m.textDirty[wi]&(1<<b) != 0 {
+				m.pageGen[p]++
+				m.chainGen++
+			}
 		}
 		m.bus.dirty[wi] = 0
+		m.textDirty[wi] = 0
 	}
 	copy(m.harts, m.snapHarts)
+	m.resHeld = true // the snapshot's harts may hold reservations
 	m.ReadyReached = m.snapReady
 	// Rewinding the global instruction counter keeps icnt-derived state
 	// (CSRCycles reads, suspend deadlines) identical on every restore, so a
 	// pooled machine behaves the same however many campaigns preceded it.
 	m.icnt = m.snapICnt
-	// TB exit links deliberately survive the rewind: a chain transfer
-	// re-validates its target's generations against the same staleness rules
-	// the dispatcher applies, and any text the rewind reverted had its page
-	// generation bumped above. Keeping healthy links is what makes replay
-	// loops (Restore+Exec per input) run chained nearly end to end.
+	// TB exit links deliberately survive the rewind: only reverted text
+	// can stale a block, and its invalidation above bumped chainGen. Keeping
+	// healthy links is what makes replay loops run chained end to end.
 	m.ctr.restores.Inc()
 	m.stop = StopNone
 	m.fault = nil

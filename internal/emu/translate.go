@@ -21,10 +21,11 @@ import (
 //     re-entering the dispatcher. Indirect exits (JALR — function returns and
 //     pointer calls) have no static successor to patch, so they go through a
 //     direct-mapped jump cache keyed by target PC instead. Links and jump
-//     cache entries are invalidated wholesale by bumping chainGen (any TB
-//     flush) and individually by the target's gen/pgen going stale (page
-//     invalidation — including text pages reverted by Restore). Healthy
-//     links survive Restore, so replay loops run chained end to end.
+//     cache entries follow one validity rule: their chainGen stamp must be
+//     current. Every TB flush and every text-page invalidation (a guest or
+//     host write to text, or Restore reverting such a write) bumps chainGen,
+//     so a followed link costs one compare. Healthy links survive Restore,
+//     so replay loops run chained end to end.
 //   - Inline shadow checks: on a machine armed via ArmInlineChecks, every
 //     access site tests its access against the sanitizer shadow inside the
 //     translated template and skips the delegate call entirely when it
@@ -60,6 +61,7 @@ type tb struct {
 	steps []step
 	gen   uint32 // globalGen at translation time
 	pgen  uint32 // pageGen of the block's page at translation time
+	cover uint32 // coverGen when the coverage hook last saw this block
 
 	// Static successor PCs, 0 = none. A conditional branch has both; a JAL
 	// or a block that simply runs off its end has one; indirect or
@@ -68,9 +70,9 @@ type tb struct {
 	succFall  uint32
 
 	// Chain links to the successor TBs, valid only while the stamped
-	// chainGen is current and the target's own generations still hold.
+	// chainGen is current.
 	linkTaken, linkFall *tb
-	cgenTaken, cgenFall uint32
+	cgenTaken, cgenFall uint64
 }
 
 func (m *Machine) tbFor(pc uint32) (*tb, FaultKind) {
@@ -117,25 +119,25 @@ const jmpCacheSize = 1024
 
 type jmpEntry struct {
 	t    *tb
-	cgen uint32 // chainGen at install time, same severing rule as exit links
+	cgen uint64 // chainGen at install time, same severing rule as exit links
 }
 
 // lookupTB resolves a transfer that arrives without an exit link: indirect
 // exits (JALR returns, function-pointer calls), quantum resumption, and the
 // first entry into a block graph. With chaining enabled it consults the jump
 // cache first — the indirect-exit analogue of the patched exit links, under
-// the identical validity rule — and falls back to the dispatcher, installing
-// the resolved block for next time. Counter semantics match edge chaining:
-// every transfer is either a chain hit or a dispatcher entry, never both.
+// the identical validity rule plus a collision check — and falls back to the
+// dispatcher, installing the resolved block for next time. Counter semantics
+// match edge chaining: every transfer is either a chain hit or a dispatcher
+// entry, never both.
 func (m *Machine) lookupTB(pc uint32) (*tb, FaultKind) {
 	if m.cfg.NoChain || m.cfg.NoTBCache {
 		return m.tbFor(pc)
 	}
 	e := &m.jmpCache[(pc>>2)&(jmpCacheSize-1)]
-	if t := e.t; t != nil && t.pc == pc && e.cgen == m.chainGen &&
-		t.gen == m.globalGen && t.pgen == m.pageGen[pc>>pageShift] {
+	if e.cgen == m.chainGen && e.t.pc == pc {
 		m.ctr.chainHits.Inc()
-		return t, FaultNone
+		return e.t, FaultNone
 	}
 	t, f := m.tbFor(pc)
 	if f != FaultNone {
@@ -145,21 +147,10 @@ func (m *Machine) lookupTB(pc uint32) (*tb, FaultKind) {
 	return t, FaultNone
 }
 
-// chainNext resolves the successor TB for the exit edge the block just took:
-// through the patched link when it is still valid, or through the dispatcher
-// (installing the link for next time) otherwise.
+// chainNext resolves the successor TB for an exit edge whose link is missing
+// or severed: through the dispatcher, installing the link for next time.
+// runHart follows valid links itself.
 func (m *Machine) chainNext(t *tb, h *Hart, taken bool) (*tb, FaultKind) {
-	var nt *tb
-	var cgen uint32
-	if taken {
-		nt, cgen = t.linkTaken, t.cgenTaken
-	} else {
-		nt, cgen = t.linkFall, t.cgenFall
-	}
-	if nt != nil && cgen == m.chainGen && nt.gen == m.globalGen && nt.pgen == m.pageGen[nt.pc>>pageShift] {
-		m.ctr.chainHits.Inc()
-		return nt, FaultNone
-	}
 	nt, f := m.tbFor(h.PC)
 	if f != FaultNone {
 		return nil, f
@@ -250,7 +241,9 @@ func (m *Machine) inlineFlags(pc uint32) stepFlags {
 	return stepInline
 }
 
-// invalidateRange bumps the generation of code pages overlapping the range.
+// invalidateRange stales the TBs of text pages a write to [addr, addr+size)
+// overlaps, severs every link, and records the pages for Restore. A write
+// that misses the text bytes, even on a page shared with text, does nothing.
 func (m *Machine) invalidateRange(addr, size uint32) {
 	textStart, textEnd := m.image.Base, m.image.TextEnd()
 	if addr >= textEnd || addr+size <= textStart {
@@ -260,6 +253,8 @@ func (m *Machine) invalidateRange(addr, size uint32) {
 	last := (addr + size - 1) >> pageShift
 	for p := first; p <= last; p++ {
 		m.pageGen[p]++
+		m.chainGen++
+		m.textDirty[p>>6] |= 1 << (p & 63)
 	}
 }
 
@@ -351,8 +346,11 @@ func (m *Machine) runHart(h *Hart, quantum, target uint64) {
 				return
 			}
 		}
-		if m.CoverageHook != nil {
-			m.CoverageHook(h.PC)
+		if t.cover != m.coverGen {
+			t.cover = m.coverGen
+			if m.coverHook != nil {
+				m.coverHook(t.pc)
+			}
 		}
 		enterPC := h.PC
 		start := m.icnt
@@ -376,12 +374,23 @@ func (m *Machine) runHart(h *Hart, quantum, target uint64) {
 		// actually execute next (same guard as the loop head): a budget stop
 		// leaves h.PC mid-block, where a coincidental match with a static
 		// successor must not bypass the dispatcher.
+		// A link whose stamp matches chainGen is followed on the spot.
 		if !m.cfg.NoChain && m.stop == StopNone && m.icnt < end {
 			var f FaultKind
 			if cur.succTaken != 0 && h.PC == cur.succTaken {
-				t, f = m.chainNext(cur, h, true)
+				if cur.cgenTaken == m.chainGen {
+					t = cur.linkTaken
+					m.ctr.chainHits.Inc()
+				} else {
+					t, f = m.chainNext(cur, h, true)
+				}
 			} else if cur.succFall != 0 && h.PC == cur.succFall {
-				t, f = m.chainNext(cur, h, false)
+				if cur.cgenFall == m.chainGen {
+					t = cur.linkFall
+					m.ctr.chainHits.Inc()
+				} else {
+					t, f = m.chainNext(cur, h, false)
+				}
 			}
 			if f != FaultNone {
 				m.raiseFault(f, h, h.PC, h.PC)
@@ -391,7 +400,10 @@ func (m *Machine) runHart(h *Hart, quantum, target uint64) {
 	}
 }
 
+// raiseFault stops the machine on a guest fault at pc, leaving the hart's PC
+// on the faulting instruction whichever block boundary it ran from.
 func (m *Machine) raiseFault(kind FaultKind, h *Hart, pc, addr uint32) {
+	h.PC = pc
 	m.fault = &Fault{Kind: kind, Hart: h.ID, PC: pc, Addr: addr}
 	m.stop = StopFault
 }
@@ -404,12 +416,16 @@ func setReg(h *Hart, rd uint8, v uint32) {
 
 // execTB runs the steps of t on hart h until the block ends, the
 // per-quantum instruction limit is hit, or something exceptional happens.
+// Every step retires exactly one instruction unless it leaves the block, so
+// the steps that fit the limit are counted once, up front.
 func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
-	for _, s := range t.steps {
-		if m.icnt >= end {
-			h.PC = s.pc
-			return tbDone
-		}
+	steps := t.steps
+	if rem := end - m.icnt; uint64(len(steps)) > rem {
+		steps = steps[:rem]
+	}
+	r := &h.Regs
+	for i := range steps {
+		s := &steps[i]
 		if s.flags&stepHook != 0 {
 			m.pcHooks[s.pc](m, h)
 			if m.stop != StopNone {
@@ -420,8 +436,7 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 		if m.TraceHook != nil {
 			m.TraceHook(h.ID, s.pc, s.inst)
 		}
-		in := s.inst
-		r := &h.Regs
+		in := &s.inst
 		m.icnt++
 		switch in.Op {
 		// ---- ALU reg-reg ----
@@ -528,6 +543,7 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 			}
 			if in.Op == isa.OpLRW {
 				h.resValid, h.resAddr = true, addr
+				m.resHeld = true
 			}
 			setReg(h, in.Rd, v)
 
@@ -550,12 +566,11 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 			} else if s.flags&stepMemSafe != 0 {
 				m.ctr.memElided.Inc()
 			}
-			if f := m.bus.write(addr, size, r[in.Rs2]); f != FaultNone {
+			if f := m.write(addr, size, r[in.Rs2]); f != FaultNone {
 				m.raiseFault(f, h, s.pc, addr)
 				return tbStop
 			}
 			m.clearReservations(addr, h)
-			m.invalidateRange(addr, size)
 			if in.Op == isa.OpSCW {
 				h.resValid = false
 				setReg(h, in.Rd, 0)
@@ -587,7 +602,7 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 			case isa.OpAMOANDW:
 				nv = old & r[in.Rs2]
 			}
-			if f := m.bus.write(addr, 4, nv); f != FaultNone {
+			if f := m.write(addr, 4, nv); f != FaultNone {
 				m.raiseFault(f, h, s.pc, addr)
 				return tbStop
 			}
@@ -733,6 +748,10 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 			return tbStop
 		}
 	}
+	if len(steps) < len(t.steps) {
+		h.PC = t.steps[len(steps)].pc
+		return tbDone
+	}
 	h.PC = t.steps[len(t.steps)-1].pc + 4
 	return tbDone
 }
@@ -811,13 +830,21 @@ func (m *Machine) inlineClean(addr, size uint32) bool {
 	return sb|sh[last] == 0
 }
 
+// clearReservations breaks other harts' LR reservations on addr after a
+// store. While no hart holds one there is nothing to sweep.
 func (m *Machine) clearReservations(addr uint32, except *Hart) {
+	if !m.resHeld {
+		return
+	}
+	held := false
 	for i := range m.harts {
 		hh := &m.harts[i]
 		if hh != except && hh.resValid && hh.resAddr == addr {
 			hh.resValid = false
 		}
+		held = held || hh.resValid
 	}
+	m.resHeld = held
 }
 
 func b2u(b bool) uint32 {

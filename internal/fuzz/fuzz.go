@@ -210,9 +210,8 @@ func (f *Fuzzer) Run() *Result {
 	res := &Result{}
 	inst := f.cfg.Instance
 
-	prevHook := inst.Machine.CoverageHook
-	inst.Machine.CoverageHook = f.coverPC
-	defer func() { inst.Machine.CoverageHook = prevHook }()
+	prevHook := inst.Machine.SetCoverageHook(f.coverPC)
+	defer inst.Machine.SetCoverageHook(prevHook)
 
 	if f.cfg.Frontend == FrontendBytes {
 		// Redqueen-style comparison feedback: operands of failed equality
@@ -348,7 +347,9 @@ func (f *Fuzzer) Run() *Result {
 }
 
 // coverPC is the coverage hook: it marks a translation-block entry PC as
-// covered and counts it if it is new to the campaign.
+// covered and counts it if it is new to the campaign. The bitset is never
+// cleared while the hook is installed, so the machine may report each block
+// once per installation.
 func (f *Fuzzer) coverPC(pc uint32) {
 	w, bit := pc>>8, uint64(1)<<(pc>>2&63)
 	if f.cover[w]&bit != 0 {
