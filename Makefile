@@ -94,6 +94,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs/timeline -fuzz FuzzTimelineRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/forensics -fuzz FuzzExplainRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/emu -fuzz FuzzChainedExecution -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/emu -fuzz FuzzLoadImage -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
 	$(GO) test ./internal/san -fuzz FuzzKASANRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/san -fuzz FuzzInlineClean -fuzztime $(FUZZTIME)
 

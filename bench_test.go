@@ -186,11 +186,12 @@ func figure2Workload(fw *firmware.Firmware) [][]byte {
 func mustBoot(b *testing.B, img *kasm.Image, sans []string, noSan bool) *core.Instance {
 	b.Helper()
 	inst, err := core.New(core.Config{
-		Image:       img,
-		Sanitizers:  sans,
-		NoSanitizer: noSan,
-		Machine:     emu.Config{MaxHarts: 2},
-		KCSAN:       san.KCSANConfig{SampleInterval: 20, Delay: 2000},
+		Image:         img,
+		Sanitizers:    sans,
+		NoSanitizer:   noSan,
+		Machine:       emu.Config{MaxHarts: 2},
+		KCSAN:         san.KCSANConfig{SampleInterval: 20, Delay: 2000},
+		NoInlineCheck: true, // Figure 2's engine, as in exps.measure
 	})
 	if err != nil {
 		b.Fatal(err)

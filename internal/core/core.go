@@ -49,6 +49,11 @@ type Config struct {
 	// unprotected sites and skipping proven-safe ones. This is the
 	// measurement baseline for the guided-vs-uniform benchmarks.
 	NoRaceGuidance bool
+	// NoInlineCheck leaves the in-template shadow check unarmed, so every
+	// access site calls the sanitizer delegate: the paper's mechanism, which
+	// Figure 2 measures and the fast-path oracles compare against. Chaining
+	// and the shared TB cache have their own switches in Machine.
+	NoInlineCheck bool
 	// Elide applies the static safety proofs (internal/static/absint) to
 	// the deployment: EMBSAN-C images have provably-safe SANCK traps
 	// replaced by pads at link time, EMBSAN-D machines skip Mem-probe
@@ -67,7 +72,8 @@ type Instance struct {
 	Spec    *dsl.Sanitizer
 	Probed  *probe.Result // nil when NoSanitizer
 
-	img *kasm.Image
+	img   *kasm.Image
+	armed bool // the in-template shadow check is armed
 }
 
 // New runs the pre-testing probing phase and prepares the testing phase.
@@ -220,6 +226,10 @@ func New(cfg Config) (*Instance, error) {
 			}
 		}
 	}
+	// Arm last, against the final probe and site settings.
+	if !cfg.NoInlineCheck {
+		inst.armed = rt.InstallInlineFastPath()
+	}
 	return inst, nil
 }
 
@@ -321,17 +331,11 @@ func (i *Instance) ArmForensics(on bool) {
 	}
 }
 
-// EnableInlineFastPath arms the machine's in-template shadow check at every
-// access site. pcs is no longer consulted: the check is a property of the
-// deployment, not of a profile. It returns false when the deployment cannot
-// skip delegate dispatch behaviourally (no sanitizer runtime, or an engine
-// mix that observes clean dispatches — see san.Runtime.InstallInlineFastPath).
-func (i *Instance) EnableInlineFastPath(pcs []uint32) bool {
-	if i.Runtime == nil {
-		return false
-	}
-	return i.Runtime.InstallInlineFastPath()
-}
+// EnableInlineFastPath reports whether New armed the in-template shadow
+// check; it neither re-arms nor flushes, and pcs is ignored. It remains only
+// because perfbench/workload.go calls it, and goes with the next change to
+// the benchmark.
+func (i *Instance) EnableInlineFastPath(pcs []uint32) bool { return i.armed }
 
 // Image returns the firmware image under test.
 func (i *Instance) Image() *kasm.Image { return i.img }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -239,4 +241,72 @@ func TestEmbsanCUsesHypercallFastPath(t *testing.T) {
 		t.Fatalf("reports = %d", len(res.Reports))
 	}
 	_ = emu.StopExit
+}
+
+// TestInlineCheckArmedByNew: New arms the in-template shadow check for every
+// deployment the runtime allows — pure KASAN — and nowhere else. An armed
+// deployment settles clean accesses in the template yet runs, reports and
+// poisons exactly like its NoInlineCheck twin, and EnableInlineFastPath only
+// reports the decision: it costs no retranslation.
+func TestInlineCheckArmedByNew(t *testing.T) {
+	img := tinyFirmware(t, kasm.SanNone)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		armed bool
+	}{
+		{"kasan", Config{Sanitizers: []string{"kasan"}}, true},
+		{"kasan+kcsan", Config{Sanitizers: []string{"kasan", "kcsan"}}, false},
+		{"no sanitizer", Config{NoSanitizer: true}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(noInline bool) (*Instance, ExecResult) {
+				t.Helper()
+				cfg := tc.cfg
+				cfg.Image, cfg.NoInlineCheck = img, noInline
+				inst, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := inst.Boot(10_000_000); err != nil {
+					t.Fatal(err)
+				}
+				inst.Snapshot()
+				return inst, inst.Exec([]byte{1}, 10_000_000)
+			}
+			inst, res := run(false)
+			if got := inst.EnableInlineFastPath(nil); got != tc.armed {
+				t.Fatalf("EnableInlineFastPath() = %v, want %v", got, tc.armed)
+			}
+			fast := inst.Machine.Counters().InlineFast
+			if tc.armed != (fast > 0) {
+				t.Errorf("armed=%v but InlineFast=%d", tc.armed, fast)
+			}
+
+			ref, refRes := run(true)
+			if !tc.cfg.NoSanitizer && len(refRes.Reports) != 1 {
+				t.Fatalf("reference run reported %d bugs, want the seeded OOB", len(refRes.Reports))
+			}
+			if refRes.Insts == 0 || !reflect.DeepEqual(res, refRes) {
+				t.Errorf("armed run diverged from NoInlineCheck:\n got %+v\nwant %+v", res, refRes)
+			}
+			if inst.Runtime != nil && !bytes.Equal(inst.Runtime.KASANEngine().Shadow().Bytes(),
+				ref.Runtime.KASANEngine().Shadow().Bytes()) {
+				t.Error("shadow diverged from NoInlineCheck")
+			}
+			if c := ref.Machine.Counters(); c.InlineFast+c.InlineSlow != 0 {
+				t.Errorf("NoInlineCheck deployment ran armed steps: %+v", c)
+			}
+
+			// A repeat of the same input on the warm cache translates nothing,
+			// EnableInlineFastPath or not.
+			misses := inst.Machine.Counters().TBMisses
+			inst.EnableInlineFastPath(nil)
+			inst.Restore()
+			inst.Exec([]byte{1}, 10_000_000)
+			if d := inst.Machine.Counters().TBMisses - misses; d != 0 {
+				t.Errorf("repeat after EnableInlineFastPath translated %d blocks", d)
+			}
+		})
+	}
 }

@@ -446,4 +446,22 @@ func TestInlineFastPathCounters(t *testing.T) {
 		t.Errorf("poisoned shadow: delegate calls=%d inlineFast=%d inlineSlow=%d, want 200/0/200",
 			calls3, c3.InlineFast, c3.InlineSlow)
 	}
+
+	// Probes replaced after arming: arming vouched only for the old
+	// delegate, so the new one must see every access.
+	m4 := newMachine(t, img)
+	m4.ArmInlineChecks(shadow, nil)
+	calls4 := 0
+	m4.SetProbes(ProbeSet{Mem: func(ev *MemEvent) {
+		if ev.Addr == buf.Addr {
+			calls4++
+		}
+	}})
+	if r := m4.Run(0); r != StopExit {
+		t.Fatalf("m4: stop=%v", r)
+	}
+	if c4 := m4.Counters(); calls4 != 200 || c4.InlineFast != 0 {
+		t.Errorf("probes replaced after arming: delegate calls=%d inlineFast=%d, want 200/0",
+			calls4, c4.InlineFast)
+	}
 }

@@ -334,8 +334,17 @@ func New(img *kasm.Image, cfg Config) (*Machine, error) {
 		cfg.NoChain = true
 		cfg.NoSharedTB = true
 	}
-	if img.MemTop() > cfg.RAMSize {
-		return nil, fmt.Errorf("emu: image needs %#x bytes of RAM, machine has %#x", img.MemTop(), cfg.RAMSize)
+	// Every section must end inside RAM; the sums are taken in 64 bits so a
+	// hostile layout cannot wrap past the check.
+	for _, sec := range [...]struct{ addr, size uint64 }{
+		{uint64(img.Base), uint64(len(img.Text))},
+		{uint64(img.DataAddr), uint64(len(img.Data))},
+		{uint64(img.BSSAddr), uint64(img.BSSSize)},
+	} {
+		if sec.addr+sec.size > uint64(cfg.RAMSize) {
+			return nil, fmt.Errorf("emu: image section [%#x, %#x) lies past the machine's %#x bytes of RAM",
+				sec.addr, sec.addr+sec.size, cfg.RAMSize)
+		}
 	}
 	m := &Machine{
 		cfg:      cfg,
@@ -569,8 +578,11 @@ func (m *Machine) SetCoverageHook(fn func(pc uint32)) (prev func(pc uint32)) {
 }
 
 // SetProbes installs the instrumentation probe set, retranslating all code.
+// It disarms the inline check: arming vouches only for the delegate it was
+// armed against, and a replacement must see every access.
 func (m *Machine) SetProbes(p ProbeSet) {
 	m.probes = p
+	m.inlineShadow, m.quiet = nil, nil
 	m.flushTBs()
 }
 

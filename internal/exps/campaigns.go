@@ -48,17 +48,12 @@ type CampaignOptions struct {
 	// (Campaign.Phases) even when full event tracing is off.
 	Metrics bool
 	// NoFastPaths runs the campaigns on the pre-fast-path engine: TB
-	// chaining and the shared translation cache are disabled on the pooled
-	// machines and no inline shadow sites are armed. Campaign outcomes are
-	// identical with it on or off — the differential oracle tests assert
-	// exactly that — so the flag exists for the fast-path oracles
-	// (fastpath_diff_test.go), not for production use.
+	// chaining, the shared translation cache and the inline shadow check
+	// (core.Config.NoInlineCheck) are all off on the pooled machines.
+	// Campaign outcomes are identical with it on or off — the differential
+	// oracle tests assert exactly that — so the flag exists for the
+	// fast-path oracles (fastpath_diff_test.go), not for production use.
 	NoFastPaths bool
-	// NoRaceGuidance runs KCSAN with uniform sampling instead of the static
-	// lockset guidance (core.Config.NoRaceGuidance) — the same warm-up
-	// switch the race tests use for their uniform-sampling side
-	// (TestRaceGuidedBeatsUniform, TestRaceGuidanceNoFalseElision).
-	NoRaceGuidance bool
 	// Forensics arms forensic provenance capture (core.Instance.ArmForensics)
 	// for the campaign: crash reports carry allocation and free backtraces
 	// stamped from the shadow call stack. Purely host-side, so campaign
@@ -148,18 +143,22 @@ type warmed struct {
 	proof    absint.Stats       // static safety-proof tally, computed once
 }
 
-// warmUp boots fw and labels its seeded bugs. The machine seed depends only
-// on the base seed, so every worker warming the same firmware reaches the
-// bit-identical snapshot. Unless noFast asks for the pre-fast-path engine,
-// every access site is armed with the in-template shadow check.
-func warmUp(fw *firmware.Firmware, baseSeed int64, elide, noFast, noGuide bool) (*warmed, error) {
-	sans := []string{"kasan"}
+// sanitizersFor is the campaign sanitizer set: KASAN, plus KCSAN when any
+// seeded bug is a race.
+func sanitizersFor(fw *firmware.Firmware) []string {
 	for _, b := range fw.Bugs {
 		if b.NeedsKCSAN {
-			sans = []string{"kasan", "kcsan"}
-			break
+			return []string{"kasan", "kcsan"}
 		}
 	}
+	return []string{"kasan"}
+}
+
+// warmUp boots fw and labels its seeded bugs. The machine seed depends only
+// on the base seed, so every worker warming the same firmware reaches the
+// bit-identical snapshot. noFast asks for the pre-fast-path engine: no
+// chaining, no shared TB cache, no inline shadow check.
+func warmUp(fw *firmware.Firmware, baseSeed int64, elide, noFast, noGuide bool) (*warmed, error) {
 	// Start from the firmware's own machine config (rehosted images carry
 	// their synthesized bridge device there) and layer the campaign tuning
 	// on top.
@@ -170,18 +169,16 @@ func warmUp(fw *firmware.Firmware, baseSeed int64, elide, noFast, noGuide bool) 
 	mcfg.NoSharedTB = noFast
 	inst, err := core.New(core.Config{
 		Image:          fw.Image,
-		Sanitizers:     sans,
+		Sanitizers:     sanitizersFor(fw),
 		StopOnReport:   true,
 		Machine:        mcfg,
 		KCSAN:          san.KCSANConfig{SampleInterval: 13, Delay: 600},
 		Elide:          elide,
 		NoRaceGuidance: noGuide,
+		NoInlineCheck:  noFast,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("exps: %s: %w", fw.Name, err)
-	}
-	if !noFast {
-		inst.EnableInlineFastPath(nil)
 	}
 	if err := inst.Boot(200_000_000); err != nil {
 		return nil, fmt.Errorf("exps: %s: %w", fw.Name, err)
@@ -318,7 +315,7 @@ func RunCampaign(fw *firmware.Firmware, opts CampaignOptions) (*Campaign, error)
 	if opts.Execs == 0 {
 		opts.Execs = 30000
 	}
-	w, err := warmUp(fw, opts.Seed, opts.Elide, opts.NoFastPaths, opts.NoRaceGuidance)
+	w, err := warmUp(fw, opts.Seed, opts.Elide, opts.NoFastPaths, false)
 	if err != nil {
 		return nil, err
 	}
@@ -370,9 +367,6 @@ func RunCampaignSet(fws []*firmware.Firmware, opts CampaignOptions) (*CampaignRu
 		if opts.NoFastPaths {
 			key += "+nofp"
 		}
-		if opts.NoRaceGuidance {
-			key += "+uniform"
-		}
 		if opts.Forensics {
 			// Forensic arming stamps chunk backtraces as the campaign runs;
 			// a pooled machine must not leak stamped chunks into an unarmed
@@ -380,7 +374,7 @@ func RunCampaignSet(fws []*firmware.Firmware, opts CampaignOptions) (*CampaignRu
 			key += "+forensics"
 		}
 		wm, err := sched.Pooled(w, key, func() (*warmed, error) {
-			return warmUp(fw, opts.Seed, opts.Elide, opts.NoFastPaths, opts.NoRaceGuidance)
+			return warmUp(fw, opts.Seed, opts.Elide, opts.NoFastPaths, false)
 		})
 		if err != nil {
 			return err

@@ -105,16 +105,9 @@ func RunElisionStats(fws []*firmware.Firmware, seed int64) ([]ElisionStat, error
 // signatures in encounter order. The configuration matches warmUp so the
 // measured stream is the one the campaigns execute.
 func elisionRun(fw *firmware.Firmware, seed int64, elide bool) (emu.Counters, []string, error) {
-	sans := []string{"kasan"}
-	for _, b := range fw.Bugs {
-		if b.NeedsKCSAN {
-			sans = []string{"kasan", "kcsan"}
-			break
-		}
-	}
 	inst, err := core.New(core.Config{
 		Image:        fw.Image,
-		Sanitizers:   sans,
+		Sanitizers:   sanitizersFor(fw),
 		StopOnReport: true,
 		Machine:      emu.Config{MaxHarts: 2, Seed: uint64(seed) + 1},
 		KCSAN:        san.KCSANConfig{SampleInterval: 13, Delay: 600},

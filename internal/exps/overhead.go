@@ -167,14 +167,16 @@ func buildWorkload(fw *firmware.Firmware, opts OverheadOptions) [][]byte {
 }
 
 // measure boots the firmware in the given configuration and times the
-// workload replay (best of n repetitions).
+// workload replay (best of n repetitions). The inline check stays unarmed:
+// Figure 2 measures the paper's mechanism, a delegate on every access.
 func measure(fw *firmware.Firmware, workload [][]byte, sans []string, repeats int) (time.Duration, error) {
 	inst, err := core.New(core.Config{
-		Image:       fw.Image,
-		Sanitizers:  sans,
-		NoSanitizer: len(sans) == 0,
-		Machine:     emu.Config{MaxHarts: 2},
-		KCSAN:       san.KCSANConfig{SampleInterval: 20, Delay: 2000},
+		Image:         fw.Image,
+		Sanitizers:    sans,
+		NoSanitizer:   len(sans) == 0,
+		Machine:       emu.Config{MaxHarts: 2},
+		KCSAN:         san.KCSANConfig{SampleInterval: 20, Delay: 2000},
+		NoInlineCheck: true,
 	})
 	if err != nil {
 		return 0, err
