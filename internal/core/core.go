@@ -52,7 +52,7 @@ type Config struct {
 	// NoInlineCheck leaves the in-template shadow check unarmed, so every
 	// access site calls the sanitizer delegate: the paper's mechanism, which
 	// Figure 2 measures and the fast-path oracles compare against. Chaining
-	// and the shared TB cache have their own switches in Machine.
+	// has its own switch in Machine.
 	NoInlineCheck bool
 	// Elide applies the static safety proofs (internal/static/absint) to
 	// the deployment: EMBSAN-C images have provably-safe SANCK traps

@@ -143,7 +143,7 @@ func FuzzChainedExecution(f *testing.F) {
 		}
 		const budget = 4096
 		newM := func(cfg Config) *Machine {
-			cfg.RAMSize, cfg.NoSharedTB = 1<<20, true
+			cfg.RAMSize = 1 << 20
 			m, err := New(img, cfg)
 			if err != nil {
 				t.Skip() // image rejected (e.g. doesn't fit): nothing to compare

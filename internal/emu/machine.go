@@ -16,26 +16,17 @@ type Config struct {
 	Quantum  int    // instructions per scheduling slice; defaults to 64
 	Seed     uint64 // non-zero enables interleaving jitter
 	// NoTBCache disables the translation-block cache (ablation): every
-	// block is re-decoded on entry. It implies NoChain and NoSharedTB —
-	// chain links would pin stale blocks, and there is no local cache to
-	// share into.
+	// block is re-decoded on entry. It implies NoChain — chain links would
+	// pin stale blocks.
 	NoTBCache bool
 	// NoChain disables TB exit chaining (ablation / differential testing):
 	// every block transfer goes through the dispatcher.
 	NoChain bool
-	// NoSharedTB keeps this machine off the process-global translation
-	// cache: it neither consumes nor publishes shared blocks.
-	NoSharedTB bool
-	// NoShadowStack disables shadow call-stack maintenance (ablation /
-	// overhead measurement): JAL/JALR retire without recording call edges
-	// and CallStack returns nothing. Translation is unaffected either way.
-	NoShadowStack bool
 	// Devices appends extra memory-mapped peripherals after the platform
 	// set. Factories run at the end of New so a device can hold the machine
 	// it serves (the rehosting bridge uses this to forward console bytes to
-	// the UART and request stops). Extra devices never affect translation —
-	// MMIO dispatch happens on the bus, not in the templates — so they are
-	// invisible to the shared-cache signature.
+	// the UART and request stops). Extra devices never affect translation:
+	// MMIO dispatch happens on the bus, not in the templates.
 	Devices []DeviceFactory
 }
 
@@ -158,14 +149,6 @@ type Machine struct {
 	// stores skip the reservation sweep.
 	resHeld bool
 
-	// sharedTBs is this image's slot in the process-global translation
-	// cache (nil with NoSharedTB); sharedSig keys the machine's
-	// translation-relevant configuration within it and is recomputed lazily
-	// after every flush.
-	sharedTBs   *sharedImageCache
-	sharedSig   uint64
-	sharedSigOK bool
-
 	// inlineShadow arms the in-template shadow check (nil = unarmed): every
 	// access site tests its access against the sanitizer's live shadow
 	// array and skips the delegate when it provably cannot act. Sites inside
@@ -250,7 +233,6 @@ type machineCounters struct {
 	memProbes, memElided         *obs.Counter
 	dispatches, chainHits        *obs.Counter
 	inlineFast, inlineSlow       *obs.Counter
-	sharedHits                   *obs.Counter
 	devReads, devWrites          *obs.Counter
 }
 
@@ -281,14 +263,11 @@ type Counters struct {
 	// Fast-path accounting. Dispatches counts dispatcher entries (tbFor
 	// calls); ChainHits counts block transfers that followed a patched exit
 	// link instead. InlineFast/InlineSlow split dispatches at armed sites by
-	// whether the in-template check settled them; SharedTBHits counts
-	// blocks consumed from the process-global translation cache (schedule-
-	// dependent across worker pools — diagnostic only).
-	Dispatches   uint64
-	ChainHits    uint64
-	InlineFast   uint64
-	InlineSlow   uint64
-	SharedTBHits uint64
+	// whether the in-template check settled them.
+	Dispatches uint64
+	ChainHits  uint64
+	InlineFast uint64
+	InlineSlow uint64
 
 	// MMIO dispatch accounting: data accesses that reached a device (the
 	// platform peripherals or any Config.Devices extra).
@@ -313,7 +292,6 @@ func (c Counters) Sub(o Counters) Counters {
 		ChainHits:    c.ChainHits - o.ChainHits,
 		InlineFast:   c.InlineFast - o.InlineFast,
 		InlineSlow:   c.InlineSlow - o.InlineSlow,
-		SharedTBHits: c.SharedTBHits - o.SharedTBHits,
 		DeviceReads:  c.DeviceReads - o.DeviceReads,
 		DeviceWrites: c.DeviceWrites - o.DeviceWrites,
 	}
@@ -332,7 +310,6 @@ func New(img *kasm.Image, cfg Config) (*Machine, error) {
 	}
 	if cfg.NoTBCache {
 		cfg.NoChain = true
-		cfg.NoSharedTB = true
 	}
 	// Every section must end inside RAM; the sums are taken in 64 bits so a
 	// hostile layout cannot wrap past the check.
@@ -372,12 +349,8 @@ func New(img *kasm.Image, cfg Config) (*Machine, error) {
 		chainHits:    m.metrics.Counter("emu.chain.hits"),
 		inlineFast:   m.metrics.Counter("emu.inline.fast"),
 		inlineSlow:   m.metrics.Counter("emu.inline.slow"),
-		sharedHits:   m.metrics.Counter("emu.tbcache.shared_hits"),
 		devReads:     m.metrics.Counter("emu.mmio.reads"),
 		devWrites:    m.metrics.Counter("emu.mmio.writes"),
-	}
-	if !cfg.NoSharedTB {
-		m.sharedTBs = sharedCacheFor(imageIDFor(img))
 	}
 	m.bus.ram = make([]byte, cfg.RAMSize)
 	m.bus.devReads = m.ctr.devReads
@@ -510,7 +483,6 @@ func (m *Machine) Counters() Counters {
 		ChainHits:    m.ctr.chainHits.Value(),
 		InlineFast:   m.ctr.inlineFast.Value(),
 		InlineSlow:   m.ctr.inlineSlow.Value(),
-		SharedTBHits: m.ctr.sharedHits.Value(),
 		DeviceReads:  m.ctr.devReads.Value(),
 		DeviceWrites: m.ctr.devWrites.Value(),
 	}
@@ -618,9 +590,6 @@ func (m *Machine) flushTBs() {
 	m.globalGen++
 	// Every cached block is now stale, so every installed exit link is too.
 	m.chainGen++
-	// The translation signature depends on what flushed (probes, hooks,
-	// safe sets, inline arming); recompute it on the next shared-cache touch.
-	m.sharedSigOK = false
 }
 
 // FlushTBs invalidates every cached translation block and severs all exit

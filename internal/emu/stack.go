@@ -14,9 +14,8 @@ package emu
 //     machine rewound between campaigns carries the bit-identical stack the
 //     snapshot had — replays on any worker see the same frames.
 //   - Zero translation impact. Maintenance happens in the JAL/JALR
-//     interpreter cases only; no template changes, so the shared-cache
-//     signature, TB chaining and the lockstep oracles are untouched, and
-//     Config.NoShadowStack can flip it off without retranslating anything.
+//     interpreter cases only; no template changes, so TB chaining and the
+//     lockstep oracles are untouched.
 //   - Bounded cost. A call edge is one bounds check and one store; a
 //     matching return is one compare and a decrement. Deep recursion wraps
 //     the circular buffer, keeping the innermost ShadowStackDepth frames —
@@ -76,8 +75,7 @@ func (m *Machine) CallStackDepth(hart int) int {
 
 // CallStack returns hart's shadow call stack as a fresh slice of call-site
 // PCs, innermost first: element 0 is the most recent unreturned call. Empty
-// when the stack is empty or the shadow stack is disabled
-// (Config.NoShadowStack). The virtual PC of the faulting access itself is
+// when no call is live. The virtual PC of the faulting access itself is
 // not included — a full backtrace is the access PC followed by this slice.
 func (m *Machine) CallStack(hart int) []uint32 {
 	if hart < 0 || hart >= len(m.harts) {

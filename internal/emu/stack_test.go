@@ -59,23 +59,6 @@ func TestShadowStackCallChain(t *testing.T) {
 	}
 }
 
-func TestShadowStackDisabled(t *testing.T) {
-	img := nestedCallImage(t)
-	m, err := New(img, Config{NoShadowStack: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe, _ := img.Lookup("f2")
-	m.HookPC(probe.Addr, func(m *Machine, h *Hart) {
-		if d := m.CallStackDepth(h.ID); d != 0 {
-			t.Errorf("NoShadowStack recorded %d frames", d)
-		}
-	})
-	if r := m.Run(0); r != StopExit {
-		t.Fatalf("stop = %v", r)
-	}
-}
-
 func TestShadowStackOverflowKeepsInnermost(t *testing.T) {
 	// Recurse far past ShadowStackDepth; at the bottom the stack must hold
 	// exactly ShadowStackDepth frames, all of them the recursive call site.

@@ -13,7 +13,7 @@ import (
 // translation templates. Code with no registered probes carries no probe
 // flags and pays nothing at execution time.
 //
-// Three fast paths keep the dispatch loop off the hot path (docs/TRANSLATE.md):
+// Two fast paths keep the dispatch loop off the hot path (docs/TRANSLATE.md):
 //
 //   - TB chaining: blocks record their static successor PCs at translation
 //     time, and runHart patches executed exits with direct links to the
@@ -31,10 +31,9 @@ import (
 //     translated template and skips the delegate call entirely when it
 //     provably cannot act. Dispatch accounting (counters, trace, profile) is
 //     identical on both paths, so fast-path runs stay byte-comparable.
-//   - Shared translation cache: machines running the same image content with
-//     the same translation-relevant configuration publish and consume
-//     immutable step slices through a process-global cache (shared.go), so a
-//     worker pool translates each firmware once per process.
+//
+// Each machine translates its own code: the block cache is per machine, so
+// every engine counter is a function of that machine's execution alone.
 
 const maxTBLen = 64
 
@@ -82,20 +81,6 @@ func (m *Machine) tbFor(pc uint32) (*tb, FaultKind) {
 			m.ctr.tbHits.Inc()
 			return t, FaultNone
 		}
-		if m.sharedTBs != nil && m.pageGen[pc>>pageShift] == 0 && m.sharedPageOK(pc) {
-			if e := m.sharedTBs.get(m.sharedSigNow(), pc); e != nil {
-				m.ctr.sharedHits.Inc()
-				// Count the acquired steps as translate-phase work exactly as
-				// a local decode would, so the phase attribution is a pure
-				// function of the executed code, not of cache luck (which is
-				// schedule-dependent across worker counts).
-				m.ctr.transInsts.Add(uint64(len(e.steps)))
-				t := &tb{pc: pc, steps: e.steps, gen: m.globalGen,
-					succTaken: e.succTaken, succFall: e.succFall}
-				m.tbs[pc] = t
-				return t, FaultNone
-			}
-		}
 	}
 	m.ctr.tbMisses.Inc()
 	t, f := m.translate(pc)
@@ -104,10 +89,6 @@ func (m *Machine) tbFor(pc uint32) (*tb, FaultKind) {
 	}
 	if !m.cfg.NoTBCache {
 		m.tbs[pc] = t
-		if m.sharedTBs != nil && t.pgen == 0 && m.sharedPageOK(pc) {
-			m.sharedTBs.put(m.sharedSigNow(), pc,
-				&sharedTB{steps: t.steps, succTaken: t.succTaken, succFall: t.succFall})
-		}
 	}
 	return t, FaultNone
 }
@@ -131,7 +112,7 @@ type jmpEntry struct {
 // match edge chaining: every transfer is either a chain hit or a dispatcher
 // entry, never both.
 func (m *Machine) lookupTB(pc uint32) (*tb, FaultKind) {
-	if m.cfg.NoChain || m.cfg.NoTBCache {
+	if m.cfg.NoChain {
 		return m.tbFor(pc)
 	}
 	e := &m.jmpCache[(pc>>2)&(jmpCacheSize-1)]
@@ -639,7 +620,7 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 
 		// ---- jumps ----
 		case isa.OpJAL:
-			if in.Rd == isa.RegRA && !m.cfg.NoShadowStack {
+			if in.Rd == isa.RegRA {
 				h.callPush(s.pc)
 			}
 			setReg(h, in.Rd, s.pc+4)
@@ -647,12 +628,10 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 			return tbDone
 		case isa.OpJALR:
 			target := (r[in.Rs1] + uint32(in.Imm)) &^ 1
-			if !m.cfg.NoShadowStack {
-				if in.Rd == isa.RegRA {
-					h.callPush(s.pc)
-				} else {
-					h.callRet(target)
-				}
+			if in.Rd == isa.RegRA {
+				h.callPush(s.pc)
+			} else {
+				h.callRet(target)
 			}
 			setReg(h, in.Rd, s.pc+4)
 			h.PC = target

@@ -48,8 +48,8 @@ type CampaignOptions struct {
 	// (Campaign.Phases) even when full event tracing is off.
 	Metrics bool
 	// NoFastPaths runs the campaigns on the pre-fast-path engine: TB
-	// chaining, the shared translation cache and the inline shadow check
-	// (core.Config.NoInlineCheck) are all off on the pooled machines.
+	// chaining and the inline shadow check (core.Config.NoInlineCheck) are
+	// both off on the pooled machines.
 	// Campaign outcomes are identical with it on or off — the differential
 	// oracle tests assert exactly that — so the flag exists for the
 	// fast-path oracles (fastpath_diff_test.go), not for production use.
@@ -113,11 +113,12 @@ type Campaign struct {
 	Phases       obs.Phases
 
 	// Engine is the machine-counter delta accumulated by this campaign:
-	// dispatch, chaining, inline and shared-cache accounting included. Like
-	// Phases it is a worker-local diagnostic (shared-cache hits depend on
-	// which worker translated first) and participates in no campaign-result
-	// comparison; the fast-path oracles read it to check which paths
-	// engaged, and Phases and the worker counters are derived from it.
+	// dispatch, chaining and inline accounting included. Like Phases it is
+	// a worker-local diagnostic (the translation fields depend on how warm
+	// the pooled machine's TB cache was, unless Timeline flushed it) and
+	// participates in no campaign-result comparison; the fast-path oracles
+	// read it to check which paths engaged, and Phases and the worker
+	// counters are derived from it.
 	Engine emu.Counters
 
 	// Timeline extras, populated when CampaignOptions.Timeline asks for
@@ -157,7 +158,7 @@ func sanitizersFor(fw *firmware.Firmware) []string {
 // warmUp boots fw and labels its seeded bugs. The machine seed depends only
 // on the base seed, so every worker warming the same firmware reaches the
 // bit-identical snapshot. noFast asks for the pre-fast-path engine: no
-// chaining, no shared TB cache, no inline shadow check.
+// chaining, no inline shadow check.
 func warmUp(fw *firmware.Firmware, baseSeed int64, elide, noFast, noGuide bool) (*warmed, error) {
 	// Start from the firmware's own machine config (rehosted images carry
 	// their synthesized bridge device there) and layer the campaign tuning
@@ -166,7 +167,6 @@ func warmUp(fw *firmware.Firmware, baseSeed int64, elide, noFast, noGuide bool) 
 	mcfg.MaxHarts = 2
 	mcfg.Seed = uint64(baseSeed) + 1
 	mcfg.NoChain = noFast
-	mcfg.NoSharedTB = noFast
 	inst, err := core.New(core.Config{
 		Image:          fw.Image,
 		Sanitizers:     sanitizersFor(fw),

@@ -97,9 +97,10 @@ func TestFigure2OverheadShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		out := FormatFigure2(rows)
+		t.Logf("attempt %d:\n%s", attempt+1, out)
 		problems = checkFigure2Shape(rows)
 		if len(problems) == 0 {
-			out := FormatFigure2(rows)
 			if !strings.Contains(out, "Grouped slowdown ranges") {
 				t.Error("figure text missing groupings")
 			}

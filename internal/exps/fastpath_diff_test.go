@@ -10,14 +10,13 @@ import (
 	"embsan/internal/guest/firmware"
 )
 
-// The translation-engine fast paths — TB exit chaining, the in-template
-// shadow check and the process-global translation cache — are pure
-// accelerations: they may only change how fast the machine gets through a
-// block graph, never anything a campaign can observe. The tests in this file
-// are the differential oracle for that contract. The slow reference is the
-// same engine with CampaignOptions.NoFastPaths / emu.Config.{NoChain,
-// NoSharedTB} set and the in-template check unarmed, i.e. the pre-fast-path
-// dispatcher on every transfer.
+// The translation-engine fast paths — TB exit chaining and the in-template
+// shadow check — are pure accelerations: they may only change how fast the
+// machine gets through a block graph, never anything a campaign can observe.
+// The tests in this file are the differential oracle for that contract. The
+// slow reference is the same engine with CampaignOptions.NoFastPaths /
+// emu.Config.NoChain set and the in-template check unarmed, i.e. the
+// pre-fast-path dispatcher on every transfer.
 
 // execDigest canonically serialises everything one execution exposes: the
 // stop state, the retired-instruction count, the report signatures, and
@@ -90,9 +89,9 @@ func TestFastPathLockstepOracle(t *testing.T) {
 					step, d.Dispatches)
 			}
 			slowD := slow.inst.Machine.Counters()
-			if slowD.ChainHits != 0 || slowD.InlineFast != 0 || slowD.SharedTBHits != 0 {
-				t.Errorf("slow engine engaged fast paths: chain=%d inline=%d shared=%d",
-					slowD.ChainHits, slowD.InlineFast, slowD.SharedTBHits)
+			if slowD.ChainHits != 0 || slowD.InlineFast != 0 {
+				t.Errorf("slow engine engaged fast paths: chain=%d inline=%d",
+					slowD.ChainHits, slowD.InlineFast)
 			}
 		})
 	}
@@ -157,7 +156,7 @@ func TestFastPathCampaignDiffSmoke(t *testing.T) {
 	}
 	for _, c := range runSlow.Campaigns {
 		e := c.Engine
-		if e.ChainHits != 0 || e.InlineFast != 0 || e.InlineSlow != 0 || e.SharedTBHits != 0 {
+		if e.ChainHits != 0 || e.InlineFast != 0 || e.InlineSlow != 0 {
 			t.Errorf("%s: NoFastPaths campaign engaged fast paths: %+v", c.Firmware.Name, e)
 		}
 	}

@@ -1,7 +1,9 @@
 package exps
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -17,7 +19,7 @@ import (
 // OverheadOptions tunes the Figure 2 measurement.
 type OverheadOptions struct {
 	Programs int // workload programs per firmware (default 16)
-	Repeats  int // measurement repetitions, best-of (default 3)
+	Repeats  int // timing rounds; slowdowns are the median per-round ratio (default 3)
 	Seed     int64
 }
 
@@ -48,7 +50,7 @@ func RunOverhead(names []string, opts OverheadOptions) ([]OverheadRow, error) {
 	if opts.Programs == 0 {
 		opts.Programs = 16
 	}
-	if opts.Repeats == 0 {
+	if opts.Repeats <= 0 {
 		opts.Repeats = 3
 	}
 	var rows []OverheadRow
@@ -74,33 +76,37 @@ func overheadFor(name string, opts OverheadOptions) (*OverheadRow, error) {
 		InstMode: table1.InstMode, Slowdown: map[string]float64{},
 	}
 
+	// Boot every configuration first; the timing rounds below then visit
+	// them back to back.
+	type config struct {
+		label  string
+		replay func() error
+	}
+	var cfgs []config
+	add := func(label string, fw *firmware.Firmware, sans []string) error {
+		replay, err := bootReplay(fw, workload, sans)
+		if err != nil {
+			return fmt.Errorf("exps: overhead %s %s: %w", name, label, err)
+		}
+		cfgs = append(cfgs, config{label, replay})
+		return nil
+	}
+
 	// Bare: uninstrumented build, no sanitizer attached.
 	bare, err := buildVariantOrSame(name, table1, kasm.SanNone)
 	if err != nil {
 		return nil, err
 	}
-	bareTime, err := measure(bare, workload, nil, opts.Repeats)
-	if err != nil {
-		return nil, fmt.Errorf("exps: overhead %s bare: %w", name, err)
+	if err := add(CfgBare, bare, nil); err != nil {
+		return nil, err
 	}
-	row.Bare = bareTime
-
-	addCfg := func(label string, fw *firmware.Firmware, sans []string) error {
-		t, err := measure(fw, workload, sans, opts.Repeats)
-		if err != nil {
-			return fmt.Errorf("exps: overhead %s %s: %w", name, label, err)
-		}
-		row.Slowdown[label] = float64(t) / float64(bareTime)
-		return nil
-	}
-
 	// EMBSAN KASAN on the firmware's Table 1 instrumentation mode.
-	if err := addCfg(CfgEmbsanKASAN, table1, []string{"kasan"}); err != nil {
+	if err := add(CfgEmbsanKASAN, table1, []string{"kasan"}); err != nil {
 		return nil, err
 	}
 	// EMBSAN KCSAN (Embedded Linux firmware, as in the paper).
 	if table1.BaseOS == "Embedded Linux" {
-		if err := addCfg(CfgEmbsanKCSAN, table1, []string{"kcsan"}); err != nil {
+		if err := add(CfgEmbsanKCSAN, table1, []string{"kcsan"}); err != nil {
 			return nil, err
 		}
 	}
@@ -110,7 +116,7 @@ func overheadFor(name string, opts OverheadOptions) (*OverheadRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := addCfg(CfgNativeKASAN, nk, nil); err != nil {
+		if err := add(CfgNativeKASAN, nk, nil); err != nil {
 			return nil, err
 		}
 		if table1.BaseOS == "Embedded Linux" {
@@ -118,12 +124,43 @@ func overheadFor(name string, opts OverheadOptions) (*OverheadRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := addCfg(CfgNativeKCSAN, nc, nil); err != nil {
+			if err := add(CfgNativeKCSAN, nc, nil); err != nil {
 				return nil, err
 			}
 		}
 	}
+
+	// Time the configurations round-robin. Each round's samples sit close
+	// together in wall-clock time, so a change in host load between rounds
+	// moves the bare time and the instrumented times alike and cancels in
+	// the per-round ratio; the reported slowdown is the median ratio.
+	ratios := map[string][]float64{}
+	bares := make([]time.Duration, opts.Repeats)
+	for r := range bares {
+		for i, c := range cfgs {
+			t, err := timeReplay(c.replay)
+			if err != nil {
+				return nil, fmt.Errorf("exps: overhead %s %s: %w", name, c.label, err)
+			}
+			if i == 0 {
+				bares[r] = t
+			} else {
+				ratios[c.label] = append(ratios[c.label], float64(t)/float64(bares[r]))
+			}
+		}
+	}
+	row.Bare = median(bares)
+	for label, rs := range ratios {
+		row.Slowdown[label] = median(rs)
+	}
 	return row, nil
+}
+
+// median returns the middle value of xs (the upper middle for even
+// lengths), sorting xs in place.
+func median[T cmp.Ordered](xs []T) T {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 func buildVariantOrSame(name string, table1 *firmware.Firmware, mode kasm.SanitizeMode) (*firmware.Firmware, error) {
@@ -166,10 +203,11 @@ func buildWorkload(fw *firmware.Firmware, opts OverheadOptions) [][]byte {
 	return out
 }
 
-// measure boots the firmware in the given configuration and times the
-// workload replay (best of n repetitions). The inline check stays unarmed:
-// Figure 2 measures the paper's mechanism, a delegate on every access.
-func measure(fw *firmware.Firmware, workload [][]byte, sans []string, repeats int) (time.Duration, error) {
+// bootReplay boots the firmware in the given configuration and returns a
+// replay of the workload, already run once so the translation caches are
+// warm. The inline check stays unarmed: Figure 2 measures the paper's
+// mechanism, a delegate on every access.
+func bootReplay(fw *firmware.Firmware, workload [][]byte, sans []string) (func() error, error) {
 	inst, err := core.New(core.Config{
 		Image:         fw.Image,
 		Sanitizers:    sans,
@@ -179,10 +217,10 @@ func measure(fw *firmware.Firmware, workload [][]byte, sans []string, repeats in
 		NoInlineCheck: true,
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if err := inst.Boot(500_000_000); err != nil {
-		return 0, err
+		return nil, err
 	}
 	inst.Snapshot()
 
@@ -198,32 +236,28 @@ func measure(fw *firmware.Firmware, workload [][]byte, sans []string, repeats in
 		}
 		return nil
 	}
-	// Warm the translation caches once before timing.
 	if err := replay(); err != nil {
-		return 0, err
+		return nil, err
 	}
-	// Time adaptively: repeat the workload until each sample is long
-	// enough to dominate timer noise, then take the best of n.
+	return replay, nil
+}
+
+// timeReplay times one sample: it repeats the workload until the sample is
+// long enough to dominate timer noise and returns the time per replay.
+func timeReplay(replay func() error) (time.Duration, error) {
 	const minSample = 25 * time.Millisecond
-	best := time.Duration(0)
-	for r := 0; r < repeats; r++ {
-		iters := 0
-		start := time.Now()
-		for {
-			if err := replay(); err != nil {
-				return 0, err
-			}
-			iters++
-			if time.Since(start) >= minSample {
-				break
-			}
+	iters := 0
+	start := time.Now()
+	for {
+		if err := replay(); err != nil {
+			return 0, err
 		}
-		per := time.Since(start) / time.Duration(iters)
-		if best == 0 || per < best {
-			best = per
+		iters++
+		if time.Since(start) >= minSample {
+			break
 		}
 	}
-	return best, nil
+	return time.Since(start) / time.Duration(iters), nil
 }
 
 // FormatFigure2 renders the overhead series with the paper's groupings.

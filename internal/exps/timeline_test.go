@@ -2,6 +2,7 @@ package exps
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -26,14 +27,16 @@ func timelineTestOpts() CampaignOptions {
 // outcomes still fingerprint identically. This is the oracle behind the
 // FlushTBs cold-start rule in runX: without it, pooled-machine TB warmth
 // would leak schedule-dependent translate/chain counts into the samples.
+// Since each machine translates only its own code, every campaign's
+// translation and dispatch counters match across worker counts too.
 func TestTimelineDeterministicAcrossWorkers(t *testing.T) {
 	opts := timelineTestOpts()
 	opts.Execs = 120
 
 	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	type run struct {
-		fp   string
-		emtl []byte
+		fp, engine string
+		emtl       []byte
 	}
 	runs := make([]run, 0, len(counts))
 	for _, workers := range counts {
@@ -53,12 +56,23 @@ func TestTimelineDeterministicAcrossWorkers(t *testing.T) {
 				}
 			}
 		}
-		runs = append(runs, run{fp: campaignFingerprint(cr.Campaigns), emtl: timeline.Encode(jobs)})
+		var engine strings.Builder
+		for _, c := range cr.Campaigns {
+			e := c.Engine
+			fmt.Fprintf(&engine, "%s tb=%d/%d trans=%d disp=%d chain=%d\n", c.Firmware.Name,
+				e.TBHits, e.TBMisses, e.TransInsts, e.Dispatches, e.ChainHits)
+		}
+		runs = append(runs, run{fp: campaignFingerprint(cr.Campaigns),
+			engine: engine.String(), emtl: timeline.Encode(jobs)})
 	}
 	for i := 1; i < len(runs); i++ {
 		if runs[i].fp != runs[0].fp {
 			t.Errorf("workers=%d: campaign outcomes diverged from workers=%d with timeline on",
 				counts[i], counts[0])
+		}
+		if runs[i].engine != runs[0].engine {
+			t.Errorf("workers=%d: translation counters diverged from workers=%d:\n%s\nvs\n%s",
+				counts[i], counts[0], runs[i].engine, runs[0].engine)
 		}
 		if !bytes.Equal(runs[i].emtl, runs[0].emtl) {
 			t.Errorf("workers=%d: merged EMTL bytes diverged from workers=%d", counts[i], counts[0])

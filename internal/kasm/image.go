@@ -10,10 +10,7 @@ package kasm
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/gob"
-	"encoding/hex"
 	"fmt"
 	"sort"
 
@@ -180,21 +177,6 @@ func (img *Image) TextEnd() uint32 { return img.Base + uint32(len(img.Text)) }
 
 // MemTop returns the first address past everything the image occupies.
 func (img *Image) MemTop() uint32 { return img.BSSAddr + img.BSSSize }
-
-// ContentID digests exactly what an instruction translator reads from the
-// image: the architecture, the text load address and the text bytes. Link-
-// time rewrites (SANCK elision) change Text, so elided and plain builds get
-// distinct IDs; names, symbols and data do not participate, so a stripped
-// copy of the same build shares its translations.
-func (img *Image) ContentID() string {
-	h := sha256.New()
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(img.Arch))
-	binary.LittleEndian.PutUint32(hdr[4:], img.Base)
-	h.Write(hdr[:])
-	h.Write(img.Text)
-	return hex.EncodeToString(h.Sum(nil))
-}
 
 // Strip returns a copy of the image with all symbol information removed,
 // modelling closed-source binary-only firmware distribution.

@@ -464,8 +464,8 @@ func (rt *Runtime) checkRange(addr, size uint32, write bool, h *emu.Hart) {
 
 // callerPC derives the return address of the innermost live frame: the
 // shadow-stack top when frames are recorded (a call-site PC plus 4 is its
-// return address), else the live RA register — the pre-shadow-stack
-// behaviour, still needed with NoShadowStack or before the first call.
+// return address), else the live RA register, which covers the state
+// before the first call.
 func (rt *Runtime) callerPC(stack []uint32, hart int) uint32 {
 	if len(stack) > 0 {
 		return stack[0] + 4
