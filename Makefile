@@ -62,7 +62,7 @@ obs-check:
 # the served EMTL byte-equals an offline run — liveness is a view, never an
 # input — then the subcommand itself runs one short monitored set end to end.
 monitor-check:
-	$(GO) test ./internal/exps -run 'TestMonitorEndpoints|TestMonitorArtifactsGatedUntilDone' -count 1
+	$(GO) test ./internal/exps -run 'TestMonitorEndpoints|TestMonitorArtifactsGatedUntilDone|TestMonitorEventsEndWhenDoneDropped' -count 1
 	$(GO) run ./cmd/embsan monitor -firmware InfiniTime -execs 500 -addr 127.0.0.1:0 -exit-when-done
 
 # Bug-forensics gate: explain the seeded InfiniTime use-after-free twice and

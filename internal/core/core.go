@@ -187,6 +187,7 @@ func New(cfg Config) (*Instance, error) {
 	}
 	inst.Runtime = rt
 
+	var proofs san.SiteProofs
 	if rt.KCSANEngine() != nil && !cfg.NoRaceGuidance && !img.Stripped && len(img.Symbols) > 0 {
 		// Lockset guidance for the concurrency sanitizer: boost watchpoint
 		// arming at statically unprotected/mixed sites, never arm at proven
@@ -196,12 +197,10 @@ func New(cfg Config) (*Instance, error) {
 		// outright and records the proofs in the link metadata.
 		if an, err := static.Analyze(img); err == nil {
 			rr := races.Analyze(an, races.Options{Taint: elideTaint(opts)})
-			if prio := rr.SitePriorities(races.DefaultBoost); len(prio) > 0 {
-				m.SetRaceSitePriorities(prio)
-			}
+			proofs.RaceWeights = rr.SitePriorities(races.DefaultBoost)
 			if cfg.Elide {
 				if recs, pcs := rr.Elisions(); len(pcs) > 0 {
-					rt.SetRaceElisions(pcs)
+					proofs.RaceSafe = pcs
 					cp := *img
 					cp.Meta.RaceElisions = recs
 					img = &cp
@@ -218,18 +217,11 @@ func New(cfg Config) (*Instance, error) {
 		// regions plus every poisoned or allocated init range (padded for
 		// the runtime's redzones). Proven access sites then skip the
 		// delegate dispatch in the translated blocks entirely.
-		taint := elideTaint(opts)
 		if an, err := static.Analyze(img); err == nil {
-			res := absint.Analyze(an, absint.Options{Taint: taint})
-			if pcs := res.SafeAccessPCs(restricted); len(pcs) > 0 {
-				m.SetSafeAccessPCs(pcs)
-			}
+			proofs.SafeAccess = absint.Analyze(an, absint.Options{Taint: elideTaint(opts)}).SafeAccessPCs(restricted)
 		}
 	}
-	// Arm last, against the final probe and site settings.
-	if !cfg.NoInlineCheck {
-		inst.armed = rt.InstallInlineFastPath()
-	}
+	inst.armed = rt.SetSitePolicy(proofs, !cfg.NoInlineCheck)
 	return inst, nil
 }
 

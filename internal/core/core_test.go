@@ -247,7 +247,8 @@ func TestEmbsanCUsesHypercallFastPath(t *testing.T) {
 // deployment the runtime allows — pure KASAN — and nowhere else. An armed
 // deployment settles clean accesses in the template yet runs, reports and
 // poisons exactly like its NoInlineCheck twin, and EnableInlineFastPath only
-// reports the decision: it costs no retranslation.
+// reports the decision: it costs no retranslation. With Elide, proven sites
+// skip the dispatch while the rest stay armed.
 func TestInlineCheckArmedByNew(t *testing.T) {
 	img := tinyFirmware(t, kasm.SanNone)
 	for _, tc := range []struct {
@@ -256,6 +257,7 @@ func TestInlineCheckArmedByNew(t *testing.T) {
 		armed bool
 	}{
 		{"kasan", Config{Sanitizers: []string{"kasan"}}, true},
+		{"kasan+elide", Config{Sanitizers: []string{"kasan"}, Elide: true}, true},
 		{"kasan+kcsan", Config{Sanitizers: []string{"kasan", "kcsan"}}, false},
 		{"no sanitizer", Config{NoSanitizer: true}, false},
 	} {
@@ -278,9 +280,12 @@ func TestInlineCheckArmedByNew(t *testing.T) {
 			if got := inst.EnableInlineFastPath(nil); got != tc.armed {
 				t.Fatalf("EnableInlineFastPath() = %v, want %v", got, tc.armed)
 			}
-			fast := inst.Machine.Counters().InlineFast
-			if tc.armed != (fast > 0) {
-				t.Errorf("armed=%v but InlineFast=%d", tc.armed, fast)
+			c := inst.Machine.Counters()
+			if tc.armed != (c.InlineFast > 0) {
+				t.Errorf("armed=%v but InlineFast=%d", tc.armed, c.InlineFast)
+			}
+			if tc.cfg.Elide != (c.MemElided > 0) {
+				t.Errorf("elide=%v but MemElided=%d", tc.cfg.Elide, c.MemElided)
 			}
 
 			ref, refRes := run(true)
@@ -294,8 +299,10 @@ func TestInlineCheckArmedByNew(t *testing.T) {
 				ref.Runtime.KASANEngine().Shadow().Bytes()) {
 				t.Error("shadow diverged from NoInlineCheck")
 			}
-			if c := ref.Machine.Counters(); c.InlineFast+c.InlineSlow != 0 {
-				t.Errorf("NoInlineCheck deployment ran armed steps: %+v", c)
+			if rc := ref.Machine.Counters(); rc.InlineFast+rc.InlineSlow != 0 {
+				t.Errorf("NoInlineCheck deployment ran armed steps: %+v", rc)
+			} else if rc.MemElided != c.MemElided {
+				t.Errorf("NoInlineCheck deployment elided %d accesses, armed %d", rc.MemElided, c.MemElided)
 			}
 
 			// A repeat of the same input on the warm cache translates nothing,

@@ -286,7 +286,7 @@ func padImage(t *testing.T) *kasm.Image {
 // two machines built from one image and run the same way report equal
 // Counters in every field, whichever of them ran first. Inline arming is
 // per machine too: armed, unarmed, quiet and poisoned runs each delegate
-// exactly the accesses their own configuration calls for.
+// exactly the accesses their own site policy calls for.
 func TestCountersDependOnlyOnOwnRun(t *testing.T) {
 	img := padImage(t)
 	m1, err := New(img, Config{})
@@ -317,7 +317,14 @@ func TestCountersDependOnlyOnOwnRun(t *testing.T) {
 	poisoned := make([]byte, m1.RAMSize()/8)
 	poisoned[buf.Addr/8] = 0xFA
 	var site uint32
-	run := func(name string, shadow []byte, quiet []PCRange, wantCalls int) Counters {
+	inline := func(uint32) Site { return SiteInline }
+	quietStore := func(pc uint32) Site {
+		if pc == site {
+			return SiteQuiet
+		}
+		return SiteInline
+	}
+	run := func(name string, shadow []byte, policy func(uint32) Site, wantCalls int) Counters {
 		t.Helper()
 		m := newMachine(t, img)
 		calls := 0
@@ -327,8 +334,8 @@ func TestCountersDependOnlyOnOwnRun(t *testing.T) {
 				calls++
 			}
 		}})
-		if shadow != nil {
-			m.ArmInlineChecks(shadow, quiet)
+		if policy != nil {
+			m.SetSitePolicy(shadow, policy)
 		}
 		if r := m.Run(0); r != StopExit {
 			t.Fatalf("%s: stop=%v", name, r)
@@ -338,19 +345,18 @@ func TestCountersDependOnlyOnOwnRun(t *testing.T) {
 		}
 		return m.Counters()
 	}
-	run("armed", clean, nil, 0)
+	run("armed", clean, inline, 0)
 	if c := run("unarmed", nil, nil, 300); c.InlineFast+c.InlineSlow != 0 {
 		t.Errorf("unarmed machine ran armed steps: inline fast=%d slow=%d", c.InlineFast, c.InlineSlow)
 	}
-	quiet := []PCRange{{Start: site, End: site + 4}}
-	first := run("armed+quiet", poisoned, quiet, 0)
-	if again := run("armed+quiet again", poisoned, quiet, 0); again != first {
+	first := run("armed+quiet", poisoned, quietStore, 0)
+	if again := run("armed+quiet again", poisoned, quietStore, 0); again != first {
 		t.Errorf("identically armed machines counted differently:\n first  %+v\n second %+v", first, again)
 	}
-	run("armed, poisoned", poisoned, nil, 300)
+	run("armed, poisoned", poisoned, inline, 300)
 }
 
-// TestInlineFastPathCounters: an armed machine settles clean accesses in the
+// TestInlineFastPathCounters: a SiteInline site settles clean accesses in the
 // template (InlineFast, no delegate call) and falls back to the delegate the
 // moment the shadow granule is poisoned (InlineSlow). Dispatch accounting is
 // identical either way.
@@ -390,6 +396,7 @@ func TestInlineFastPathCounters(t *testing.T) {
 	}
 
 	// Armed with a clean shadow: the template settles every dispatch.
+	inline := func(uint32) Site { return SiteInline }
 	shadow := make([]byte, m1.RAMSize()/8)
 	m2 := newMachine(t, img)
 	calls2 := 0
@@ -398,7 +405,7 @@ func TestInlineFastPathCounters(t *testing.T) {
 			calls2++
 		}
 	}})
-	m2.ArmInlineChecks(shadow, nil)
+	m2.SetSitePolicy(shadow, inline)
 	if r := m2.Run(0); r != StopExit {
 		t.Fatalf("m2: stop=%v", r)
 	}
@@ -421,7 +428,7 @@ func TestInlineFastPathCounters(t *testing.T) {
 	}})
 	poisoned := make([]byte, m1.RAMSize()/8)
 	poisoned[buf.Addr/8] = 0xFA
-	m3.ArmInlineChecks(poisoned, nil)
+	m3.SetSitePolicy(poisoned, inline)
 	if r := m3.Run(0); r != StopExit {
 		t.Fatalf("m3: stop=%v", r)
 	}
@@ -431,10 +438,10 @@ func TestInlineFastPathCounters(t *testing.T) {
 			calls3, c3.InlineFast, c3.InlineSlow)
 	}
 
-	// Probes replaced after arming: arming vouched only for the old
+	// Probes replaced after arming: the policy vouched only for the old
 	// delegate, so the new one must see every access.
 	m4 := newMachine(t, img)
-	m4.ArmInlineChecks(shadow, nil)
+	m4.SetSitePolicy(shadow, inline)
 	calls4 := 0
 	m4.SetProbes(ProbeSet{Mem: func(ev *MemEvent) {
 		if ev.Addr == buf.Addr {
@@ -447,5 +454,102 @@ func TestInlineFastPathCounters(t *testing.T) {
 	if c4 := m4.Counters(); calls4 != 200 || c4.InlineFast != 0 {
 		t.Errorf("probes replaced after arming: delegate calls=%d inlineFast=%d, want 200/0",
 			calls4, c4.InlineFast)
+	}
+}
+
+// TestSitePolicyTable: each of the four site states, applied to a load/store
+// site, a SANCK site and a FENCE pad, delegates and counts exactly as its
+// row says. The shadow poisons the accessed granule, so an inline site must
+// fall back to the delegate while a quiet one must not.
+func TestSitePolicyTable(t *testing.T) {
+	const n = 200
+	loop := func(mode kasm.SanitizeMode, body func(b *kasm.Builder)) *kasm.Image {
+		b := kasm.NewBuilder(kasm.Target{Arch: isa.ArchARM32E, Sanitize: mode})
+		b.GlobalRaw("buf", 8)
+		b.Func("_start")
+		b.La(rA1, "buf")
+		b.Li(rT0, n)
+		b.Label("loop")
+		body(b)
+		b.ADDI(rT0, rT0, -1)
+		b.BNEZ(rT0, "loop")
+		b.Li(rA0, 0)
+		exitWith(b)
+		return mustLink(t, b, "site")
+	}
+	store := func(b *kasm.Builder) { b.SW(rT0, rA1, 0) }
+	kinds := []struct {
+		name string
+		img  *kasm.Image
+		mem  bool // the site dispatches to the Mem probe, not the Sanck one
+	}{
+		{"load/store", loop(kasm.SanNone, store), true},
+		{"sanck", loop(kasm.SanEmbsanC, store), false},
+		{"fence", loop(kasm.SanNone, func(b *kasm.Builder) { b.FENCE() }), false},
+	}
+	type counts struct {
+		calls                      int
+		probes, elided, fast, slow uint64
+	}
+	for _, tc := range []struct {
+		kind  string
+		state Site
+		want  counts
+	}{
+		{"load/store", SiteCheck, counts{n, n, 0, 0, 0}},
+		{"load/store", SiteInline, counts{n, n, 0, 0, n}},
+		{"load/store", SiteQuiet, counts{0, n, 0, n, 0}},
+		{"load/store", SiteElided, counts{0, 0, n, 0, 0}},
+		{"sanck", SiteCheck, counts{n, n, 0, 0, 0}},
+		{"sanck", SiteInline, counts{n, n, 0, 0, n}},
+		{"sanck", SiteQuiet, counts{0, n, 0, n, 0}},
+		{"sanck", SiteElided, counts{0, 0, n, 0, 0}},
+		{"fence", SiteCheck, counts{}},
+		{"fence", SiteInline, counts{}},
+		{"fence", SiteQuiet, counts{}},
+		{"fence", SiteElided, counts{0, 0, n, 0, 0}},
+	} {
+		for _, k := range kinds {
+			if k.name != tc.kind {
+				continue
+			}
+			buf, _ := k.img.Lookup("buf")
+			m := newMachine(t, k.img)
+			var got counts
+			probe := func(ev *MemEvent) {
+				if ev.Addr == buf.Addr {
+					got.calls++
+				}
+			}
+			if k.mem {
+				m.SetProbes(ProbeSet{Mem: probe})
+			} else {
+				m.SetProbes(ProbeSet{Sanck: probe})
+			}
+			shadow := make([]byte, m.RAMSize()/8)
+			shadow[buf.Addr/8] = 0xFA
+			asked := map[uint32]bool{}
+			m.SetSitePolicy(shadow, func(pc uint32) Site {
+				asked[pc] = true
+				return tc.state
+			})
+			if r := m.Run(0); r != StopExit {
+				t.Fatalf("%s/%d: stop=%v", tc.kind, tc.state, r)
+			}
+			c := m.Counters()
+			other := c.SanckTraps + c.SanckElided
+			got.probes, got.elided = c.MemProbes, c.MemElided
+			if !k.mem {
+				other = c.MemProbes + c.MemElided
+				got.probes, got.elided = c.SanckTraps, c.SanckElided
+			}
+			got.fast, got.slow = c.InlineFast, c.InlineSlow
+			if got != tc.want || other != 0 {
+				t.Errorf("%s/%d: got %+v (other probe class %d), want %+v", tc.kind, tc.state, got, other, tc.want)
+			}
+			if len(asked) != 1 {
+				t.Errorf("%s/%d: policy asked about %d sites, want the one", tc.kind, tc.state, len(asked))
+			}
+		}
 	}
 }

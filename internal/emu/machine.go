@@ -149,25 +149,9 @@ type Machine struct {
 	// stores skip the reservation sweep.
 	resHeld bool
 
-	// inlineShadow arms the in-template shadow check (nil = unarmed): every
-	// access site tests its access against the sanitizer's live shadow
-	// array and skips the delegate when it provably cannot act. Sites inside
-	// a quiet range skip the delegate outright.
-	inlineShadow []byte
-	quiet        []PCRange
-
-	// safeMem marks access PCs the static prover showed can never touch
-	// invalid or poisoned memory; translation skips the Mem probe for them
-	// (EMBSAN-D TB specialization). elided marks FENCE pads left where the
-	// link-time pass dropped a SANCK, so avoided traps can be counted.
-	safeMem map[uint32]bool
-	elided  map[uint32]bool
-
-	// racePrio carries the lockset analysis' per-site arming weights for
-	// the concurrency sanitizer (0 = proven race-free, >1 = preferential).
-	// Pure guidance data: translation is unaffected, the sanitizer runtime
-	// reads it through RaceSitePriority on each sampled dispatch.
-	racePrio map[uint32]uint8
+	// The per-site sanitizer policy and the shadow SiteInline sites test.
+	site       func(pc uint32) Site
+	siteShadow []byte
 
 	stop     StopReason
 	exitCode int32
@@ -250,7 +234,7 @@ type Counters struct {
 	RestorePages uint64
 
 	// Sanitizer dispatch accounting, split by instrumentation mode. The
-	// *Elided counters tally dispatches that static safety proofs removed:
+	// *Elided counters tally the SiteElided sites of the site policy:
 	// executed FENCE pads standing where a SANCK was dropped at link time
 	// (EMBSAN-C), and proven accesses whose Mem probe the translator
 	// skipped (EMBSAN-D). Elided counts only accumulate while the matching
@@ -381,77 +365,33 @@ func New(img *kasm.Image, cfg Config) (*Machine, error) {
 	m.harts[0].PC = img.Entry
 	m.harts[0].Active = true
 
-	if len(img.Meta.Elisions) > 0 {
-		m.elided = make(map[uint32]bool, len(img.Meta.Elisions))
-		for _, e := range img.Meta.Elisions {
-			m.elided[e.Site] = true
-		}
-	}
-
 	m.installPlatformHypercalls()
 	return m, nil
-}
-
-// SetSafeAccessPCs installs the set of access PCs the static prover showed
-// are always in-bounds: translation blocks skip Mem-probe dispatch for
-// them (the EMBSAN-D specialization). Passing an empty set reverts to full
-// interception. All code is retranslated.
-func (m *Machine) SetSafeAccessPCs(pcs []uint32) {
-	if len(pcs) == 0 {
-		m.safeMem = nil
-	} else {
-		m.safeMem = make(map[uint32]bool, len(pcs))
-		for _, pc := range pcs {
-			m.safeMem[pc] = true
-		}
-	}
-	m.flushTBs()
-}
-
-// SetRaceSitePriorities installs the static race-triage priority map: for
-// each sanitizer dispatch PC, the arming weight the concurrency sanitizer
-// should use (0 = site proven always-protected or hart-local, never armed;
-// above 1 = unprotected/mixed site, armed preferentially). Unlike the
-// safe-site sets this is pure guidance data — no code is retranslated, and
-// sites absent from the map keep the default weight of 1. Passing nil
-// reverts to uniform sampling.
-func (m *Machine) SetRaceSitePriorities(prio map[uint32]uint8) {
-	if len(prio) == 0 {
-		m.racePrio = nil
-		return
-	}
-	m.racePrio = make(map[uint32]uint8, len(prio))
-	for pc, w := range prio {
-		m.racePrio[pc] = w
-	}
-}
-
-// RaceSitePriority reports the static arming weight for a dispatch PC and
-// whether the site appears in the installed priority map.
-func (m *Machine) RaceSitePriority(pc uint32) (uint8, bool) {
-	w, ok := m.racePrio[pc]
-	return w, ok
 }
 
 // Seed returns the machine's current interleaving seed (as set by Config or
 // the latest Reseed) — the campaign identity deterministic samplers mix in.
 func (m *Machine) Seed() uint64 { return m.cfg.Seed }
 
-// PCRange is the half-open guest PC range [Start, End).
-type PCRange struct{ Start, End uint32 }
+// Site is the sanitizer policy of one dispatch site: an access, a SANCK,
+// or a FENCE pad standing where link-time elision dropped a SANCK.
+type Site uint8
 
-// ArmInlineChecks arms (or, with a nil shadow, disarms) the in-template
-// shadow check at every Mem-probe and SANCK site. shadow must be the
-// sanitizer's live backing array, not a copy: armed sites read it on every
-// dispatch and must observe poison changes immediately. quiet lists PC
-// ranges where the delegate never acts; their sites skip it outright. All
-// code is retranslated. That a settled dispatch is indistinguishable from a
-// delegated one is the caller's responsibility;
-// san.Runtime.InstallInlineFastPath enforces it by refusing engine mixes
-// that observe clean dispatches.
-func (m *Machine) ArmInlineChecks(shadow []byte, quiet []PCRange) {
-	m.inlineShadow = shadow
-	m.quiet = append([]PCRange(nil), quiet...)
+const (
+	SiteCheck  Site = iota // dispatch every execution to the probe
+	SiteInline             // test the shadow in the template, probe what it cannot settle
+	SiteQuiet              // count the dispatch, never call the probe
+	SiteElided             // no dispatch, counted as elided; the one state a FENCE heeds
+)
+
+// SetSitePolicy installs the per-site sanitizer policy (nil = SiteCheck
+// everywhere) and retranslates all code. The translator calls site once
+// per access, SANCK and FENCE site it translates while the matching probe
+// is installed. shadow must be the sanitizer's live backing array, which
+// SiteInline sites read on every dispatch. That a settled or elided
+// dispatch is unobservable is the caller's promise (san.Runtime).
+func (m *Machine) SetSitePolicy(shadow []byte, site func(pc uint32) Site) {
+	m.siteShadow, m.site = shadow, site
 	m.flushTBs()
 }
 
@@ -550,11 +490,11 @@ func (m *Machine) SetCoverageHook(fn func(pc uint32)) (prev func(pc uint32)) {
 }
 
 // SetProbes installs the instrumentation probe set, retranslating all code.
-// It disarms the inline check: arming vouches only for the delegate it was
-// armed against, and a replacement must see every access.
+// It drops the site policy: the policy vouches only for the delegate it was
+// set against, and a replacement must see every access.
 func (m *Machine) SetProbes(p ProbeSet) {
 	m.probes = p
-	m.inlineShadow, m.quiet = nil, nil
+	m.site, m.siteShadow = nil, nil
 	m.flushTBs()
 }
 

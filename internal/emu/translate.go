@@ -26,8 +26,8 @@ import (
 //     host write to text, or Restore reverting such a write) bumps chainGen,
 //     so a followed link costs one compare. Healthy links survive Restore,
 //     so replay loops run chained end to end.
-//   - Inline shadow checks: on a machine armed via ArmInlineChecks, every
-//     access site tests its access against the sanitizer shadow inside the
+//   - Inline shadow checks: a site the site policy (SetSitePolicy) marks
+//     SiteInline tests its access against the sanitizer shadow inside the
 //     translated template and skips the delegate call entirely when it
 //     provably cannot act. Dispatch accounting (counters, trace, profile) is
 //     identical on both paths, so fast-path runs stay byte-comparable.
@@ -43,10 +43,9 @@ const (
 	stepMem stepFlags = 1 << iota
 	stepSanck
 	stepHook
-	stepMemSafe // access proven safe: Mem probe skipped, counted as elided
-	stepElided  // FENCE pad left by link-time SANCK elision
-	stepInline  // access site armed with the in-template shadow check
-	stepQuiet   // armed site in a quiet range: the delegate never acts
+	stepElided // SiteElided: no dispatch, counted as elided by opcode class
+	stepInline // SiteInline: the in-template shadow check guards the delegate
+	stepQuiet  // SiteQuiet (with stepInline): the delegate never acts
 )
 
 type step struct {
@@ -163,19 +162,15 @@ func (m *Machine) translate(pc uint32) (*tb, FaultKind) {
 		switch isa.ClassOf(inst.Op) {
 		case isa.ClassLoad, isa.ClassStore, isa.ClassAtomic:
 			if m.probes.Mem != nil {
-				if m.safeMem != nil && m.safeMem[cur] {
-					fl |= stepMemSafe
-				} else {
-					fl |= stepMem | m.inlineFlags(cur)
-				}
+				fl = m.siteFlags(cur, stepMem)
 			}
 		case isa.ClassSanck:
 			if m.probes.Sanck != nil {
-				fl |= stepSanck | m.inlineFlags(cur)
+				fl = m.siteFlags(cur, stepSanck)
 			}
 		default:
-			if inst.Op == isa.OpFENCE && m.probes.Sanck != nil && m.elided != nil && m.elided[cur] {
-				fl |= stepElided
+			if inst.Op == isa.OpFENCE && m.probes.Sanck != nil && m.site != nil && m.site(cur) == SiteElided {
+				fl = stepElided
 			}
 		}
 		if _, hooked := m.pcHooks[cur]; hooked {
@@ -207,19 +202,22 @@ func (m *Machine) translate(pc uint32) (*tb, FaultKind) {
 	return t, FaultNone
 }
 
-// inlineFlags returns the in-template check flags of an access site: none on
-// an unarmed machine, stepInline on an armed one, plus stepQuiet inside a
-// quiet range.
-func (m *Machine) inlineFlags(pc uint32) stepFlags {
-	if m.inlineShadow == nil {
-		return 0
+// siteFlags asks the site policy about the access or SANCK site at pc and
+// returns its step flags; probe is the site's dispatch flag (stepMem or
+// stepSanck).
+func (m *Machine) siteFlags(pc uint32, probe stepFlags) stepFlags {
+	if m.site == nil {
+		return probe
 	}
-	for _, r := range m.quiet {
-		if pc >= r.Start && pc < r.End {
-			return stepInline | stepQuiet
-		}
+	switch m.site(pc) {
+	case SiteInline:
+		return probe | stepInline
+	case SiteQuiet:
+		return probe | stepInline | stepQuiet
+	case SiteElided:
+		return stepElided
 	}
-	return stepInline
+	return probe
 }
 
 // invalidateRange stales the TBs of text pages a write to [addr, addr+size)
@@ -508,7 +506,7 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 				if ex := m.fireMem(h, s.pc, addr, size, false, in.Op == isa.OpLRW, s.flags); ex != tbDone {
 					return ex
 				}
-			} else if s.flags&stepMemSafe != 0 {
+			} else if s.flags&stepElided != 0 {
 				m.ctr.memElided.Inc()
 			}
 			v, f := m.bus.read(addr, size)
@@ -544,7 +542,7 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 				if ex := m.fireMem(h, s.pc, addr, size, true, in.Op == isa.OpSCW, s.flags); ex != tbDone {
 					return ex
 				}
-			} else if s.flags&stepMemSafe != 0 {
+			} else if s.flags&stepElided != 0 {
 				m.ctr.memElided.Inc()
 			}
 			if f := m.write(addr, size, r[in.Rs2]); f != FaultNone {
@@ -564,7 +562,7 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 				if ex := m.fireMem(h, s.pc, addr, 4, true, true, s.flags); ex != tbDone {
 					return ex
 				}
-			} else if s.flags&stepMemSafe != 0 {
+			} else if s.flags&stepElided != 0 {
 				m.ctr.memElided.Inc()
 			}
 			old, f := m.bus.read(addr, 4)
@@ -691,6 +689,9 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 			}
 
 		case isa.OpSANCK:
+			if s.flags&stepElided != 0 {
+				m.ctr.sanckElided.Inc()
+			}
 			if s.flags&stepSanck != 0 {
 				m.ctr.sanckTraps.Inc()
 				addr := r[in.Rs1] + uint32(in.Imm)
@@ -797,7 +798,7 @@ func (m *Machine) inlineClean(addr, size uint32) bool {
 	if addr >= MMIOBase {
 		return true
 	}
-	sh := m.inlineShadow
+	sh := m.siteShadow
 	g, last := addr>>3, (addr+size-1)>>3
 	if addr < NullGuardSize || last >= uint32(len(sh)) {
 		return false

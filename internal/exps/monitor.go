@@ -36,13 +36,17 @@ type Monitor struct {
 	trace []byte
 	stats string
 	done  bool
+	// finished is closed by Finish: every /events stream ends on it, even
+	// one whose queue was too full to take any more events.
+	finished chan struct{}
 }
 
 // NewMonitor creates an idle monitor.
 func NewMonitor() *Monitor {
 	return &Monitor{
-		subs: make(map[chan MonitorEvent]struct{}),
-		reg:  obs.NewSyncRegistry(),
+		subs:     make(map[chan MonitorEvent]struct{}),
+		reg:      obs.NewSyncRegistry(),
+		finished: make(chan struct{}),
 	}
 }
 
@@ -75,7 +79,8 @@ type MonitorCrash struct {
 
 // Subscribe registers a liveness listener and returns its event channel
 // plus a cancel function. The channel is buffered; events that arrive
-// while it is full are dropped for this subscriber.
+// while it is full are dropped for this subscriber. Finish never closes
+// it and publishes no "done" event into it: /events writes that itself.
 func (m *Monitor) Subscribe() (<-chan MonitorEvent, func()) {
 	ch := make(chan MonitorEvent, 256)
 	m.mu.Lock()
@@ -134,15 +139,18 @@ func (m *Monitor) publishCampaign(campaign int, c *Campaign) {
 
 // Finish stores the finished set's canonical artifacts — the EMTL
 // timeline, the Chrome counter trace and the formatted stats table — and
-// notifies subscribers. The artifact endpoints serve them from here on.
+// ends every /events stream. The artifact endpoints serve them from here
+// on.
 func (m *Monitor) Finish(emtl, trace []byte, stats string) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.emtl = emtl
 	m.trace = trace
 	m.stats = stats
+	if !m.done {
+		close(m.finished)
+	}
 	m.done = true
-	m.mu.Unlock()
-	m.publish(MonitorEvent{Type: "done"})
 }
 
 // snapshot returns the artifact state under the lock.
@@ -192,25 +200,29 @@ func (m *Monitor) Handler() http.Handler {
 		w.Header().Set("Cache-Control", "no-cache")
 		w.WriteHeader(http.StatusOK)
 		fl.Flush()
-		// A subscriber attaching after Finish still learns the run is done.
-		if _, _, _, done := m.snapshot(); done {
-			fmt.Fprint(w, "event: done\ndata: {\"type\":\"done\"}\n\n")
-			fl.Flush()
-			return
+		send := func(ev MonitorEvent) {
+			if data, err := json.Marshal(ev); err == nil {
+				fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
+				fl.Flush()
+			}
 		}
 		for {
 			select {
 			case <-r.Context().Done():
 				return
 			case ev := <-ch:
-				data, err := json.Marshal(ev)
-				if err != nil {
-					continue
-				}
-				fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
-				fl.Flush()
-				if ev.Type == "done" {
-					return
+				send(ev)
+			case <-m.finished:
+				// Every event published before Finish is queued by now:
+				// deliver the ones this stream kept, then end it.
+				for {
+					select {
+					case ev := <-ch:
+						send(ev)
+					default:
+						send(MonitorEvent{Type: "done"})
+						return
+					}
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -199,5 +200,61 @@ func TestMonitorArtifactsGatedUntilDone(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, []byte("EMTL")) {
 		t.Errorf("sealed artifact not served: code %d body %q", resp.StatusCode, body)
+	}
+}
+
+// parkedWriter is an SSE ResponseWriter whose first Write parks until
+// released, like a client that stopped reading.
+type parkedWriter struct {
+	hdr     http.Header
+	once    sync.Once
+	parked  chan struct{}
+	release chan struct{}
+	body    bytes.Buffer
+}
+
+func (w *parkedWriter) Header() http.Header { return w.hdr }
+func (w *parkedWriter) WriteHeader(int)     {}
+func (w *parkedWriter) Flush()              {}
+func (w *parkedWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.parked)
+		<-w.release
+	})
+	return w.body.Write(p)
+}
+
+// TestMonitorEventsEndWhenDoneDropped: a stream whose queue overflowed
+// while its writer was parked lost the published events past its buffer,
+// yet it still ends with "done" once Finish has run.
+func TestMonitorEventsEndWhenDoneDropped(t *testing.T) {
+	m := NewMonitor()
+	w := &parkedWriter{hdr: http.Header{}, parked: make(chan struct{}), release: make(chan struct{})}
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		m.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/events", nil))
+	}()
+	// Publish until the handler has subscribed and parked on its first event.
+	for parked := false; !parked; {
+		m.publishSample(0, "fw", timeline.Sample{})
+		select {
+		case <-w.parked:
+			parked = true
+		case <-time.After(time.Millisecond):
+		}
+	}
+	for i := 0; i < 300; i++ {
+		m.publishSample(0, "fw", timeline.Sample{})
+	}
+	m.Finish(nil, nil, "")
+	close(w.release)
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("/events still open 5 s after Finish")
+	}
+	if !strings.HasSuffix(w.body.String(), "event: done\ndata: {\"type\":\"done\",\"campaign\":0}\n\n") {
+		t.Errorf("stream did not end with done: ...%q", w.body.String()[max(0, w.body.Len()-80):])
 	}
 }

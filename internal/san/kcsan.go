@@ -11,12 +11,11 @@ type KCSAN struct {
 	delay    uint64 // stall length in global instructions
 	counter  uint64 // fallback virtual clock when no machine clock is wired
 	read     func(addr, size uint32) (uint32, bool)
-	clock    func() uint64                 // retired-instruction clock (nil: internal counter)
-	seed     func() uint64                 // live campaign seed (nil: 0)
-	prio     func(pc uint32) (uint8, bool) // static site weights (nil: uniform)
-	elided   uint64                        // weight-0 sites skipped by static proof
-	evals    uint64                        // accesses that reached the arming decision
-	armed    uint64                        // watchpoints actually armed
+	clock    func() uint64    // retired-instruction clock (nil: internal counter)
+	seed     func() uint64    // live campaign seed (nil: 0)
+	weights  map[uint32]uint8 // static site weights, absent = 1 (Runtime.SetSitePolicy)
+	evals    uint64           // accesses that reached the arming decision
+	armed    uint64           // watchpoints actually armed
 }
 
 type watchpoint struct {
@@ -67,18 +66,15 @@ func NewKCSAN(cfg KCSANConfig, read func(addr, size uint32) (uint32, bool)) *KCS
 }
 
 // SetGuidance wires the deterministic sampling sources: clock is the
-// machine's retired-instruction counter, seed reads the live campaign seed,
-// and prio is an optional static site-weight lookup from the lockset
-// analysis — weight 0 marks a site proven race-free (never armed), weights
-// above 1 arm preferentially at sites left unprotected. With these wired,
-// every arming decision is a pure function of (seed, virtual clock, site):
-// it does not depend on how many accesses were sampled before this one, so
-// skipping a proven-safe site cannot shift any other site's decisions —
-// the property the elision and worker-count byte-identity oracles rely on.
-func (k *KCSAN) SetGuidance(clock, seed func() uint64, prio func(pc uint32) (uint8, bool)) {
+// machine's retired-instruction counter and seed reads the live campaign
+// seed. With these and the static site weights wired, every arming
+// decision is a pure function of (seed, virtual clock, site): it does not
+// depend on how many accesses were sampled before this one, so skipping a
+// proven-safe site cannot shift any other site's decisions — the property
+// the elision and worker-count byte-identity oracles rely on.
+func (k *KCSAN) SetGuidance(clock, seed func() uint64) {
 	k.clock = clock
 	k.seed = seed
-	k.prio = prio
 }
 
 // sampleMix is the splitmix64 finalizer over (campaign seed, virtual
@@ -156,13 +152,10 @@ func (k *KCSAN) OnAccess(addr, size uint32, write bool, pc uint32, hart int, ato
 		return 0, nil
 	}
 	weight := uint64(1)
-	if k.prio != nil {
-		if w, ok := k.prio(pc); ok {
-			weight = uint64(w)
-		}
+	if w, ok := k.weights[pc]; ok {
+		weight = uint64(w)
 	}
 	if weight == 0 {
-		k.elided++
 		return 0, nil
 	}
 	k.evals++
@@ -209,17 +202,11 @@ func (k *KCSAN) Reset() {
 	k.counter = 0
 }
 
-// Elided returns how many eligible accesses were skipped because their
-// site carried a static weight of 0 (proven always-protected/hart-local).
-func (k *KCSAN) Elided() uint64 {
-	return k.elided
-}
-
 // Sampling returns the cumulative arming accounting: how many eligible
-// accesses reached the sampling decision and how many armed a
-// watchpoint. Like Elided, the counts survive Reset (they accumulate
-// across a campaign's executions) — the timeline sampler's "KCSAN
-// arming rate" metric reads them.
+// accesses reached the sampling decision and how many armed a watchpoint.
+// The counts survive Reset (they accumulate across a campaign's
+// executions) — the timeline sampler's "KCSAN arming rate" metric reads
+// them.
 func (k *KCSAN) Sampling() (evals, armed uint64) {
 	return k.evals, k.armed
 }

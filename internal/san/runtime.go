@@ -55,14 +55,14 @@ type Runtime struct {
 	enabled  bool
 	suppress []dsl.Region
 
-	// raceSafe holds dispatch PCs the static lockset analysis proved can
-	// never race (always-protected or hart-local); with elision on, the
-	// concurrency sanitizer is not consulted at all for them. raceElided
-	// counts the dispatches skipped this way. Safe behaviourally: those
-	// sites carry arming weight 0 (so they never arm in any mode) and the
+	// The site policy (SetSitePolicy): the elided sites, whether the
+	// in-template check guards the rest, and the dispatch PCs for which
+	// KCSAN is not consulted at all. Skipping those is safe behaviourally:
+	// they carry arming weight 0 (so they never arm in any mode) and the
 	// proof rules out the cross-hart overlaps phase 2 could observe.
-	raceSafe   map[uint32]bool
-	raceElided uint64
+	elided   map[uint32]bool
+	armed    bool
+	raceSafe map[uint32]bool
 
 	pending map[pendKey][]pendingAlloc
 
@@ -159,9 +159,9 @@ func Attach(m *emu.Machine, opts Options) (*Runtime, error) {
 		})
 		// Deterministic guided sampling: arming is a pure function of the
 		// machine's virtual clock, its live campaign seed, and the static
-		// race-site priority map (installed later by the deployment layer;
-		// lookups on an empty machine map are simply "no weight").
-		rt.kcsan.SetGuidance(m.ICount, m.Seed, m.RaceSitePriority)
+		// race-site weights (installed later by the deployment layer's
+		// SetSitePolicy; until then every site weighs 1).
+		rt.kcsan.SetGuidance(m.ICount, m.Seed)
 	}
 
 	if opts.Platform != nil {
@@ -181,6 +181,7 @@ func Attach(m *emu.Machine, opts Options) (*Runtime, error) {
 		}
 	}
 	m.SetProbes(probes)
+	rt.SetSitePolicy(SiteProofs{}, false)
 
 	// Function interception (EMBSAN-D): the Prober-discovered allocator
 	// entry and exit points become PC hooks.
@@ -388,10 +389,8 @@ func (rt *Runtime) onMem(ev *emu.MemEvent) {
 			return
 		}
 	}
-	for _, r := range rt.suppress {
-		if r.Contains(ev.PC) {
-			return
-		}
+	if rt.suppressed(ev.PC) {
+		return
 	}
 	if rt.ubsan && ev.Size > 1 && ev.Addr&(ev.Size-1) != 0 {
 		rt.report(&Report{
@@ -413,8 +412,7 @@ func (rt *Runtime) onMem(ev *emu.MemEvent) {
 		}
 	}
 	if rt.kcsan != nil {
-		if rt.raceSafe != nil && rt.raceSafe[ev.PC] {
-			rt.raceElided++
+		if rt.raceSafe[ev.PC] {
 			return
 		}
 		stall, r := rt.kcsan.OnAccess(ev.Addr, ev.Size, ev.Write, ev.PC, ev.Hart, ev.Atomic)
@@ -430,25 +428,15 @@ func (rt *Runtime) onMem(ev *emu.MemEvent) {
 	}
 }
 
-// SetRaceElisions installs (or, with nil, clears) the set of dispatch PCs
-// proven race-free by the static lockset analysis: the concurrency
-// sanitizer is skipped entirely for them. Callers must only pass sites
-// whose arming weight is 0 in the machine's race-site priority map, so the
-// skip cannot change any sampling decision elsewhere.
-func (rt *Runtime) SetRaceElisions(pcs []uint32) {
-	if len(pcs) == 0 {
-		rt.raceSafe = nil
-		return
+// suppressed reports whether pc lies in a platform suppression range.
+func (rt *Runtime) suppressed(pc uint32) bool {
+	for _, r := range rt.suppress {
+		if r.Contains(pc) {
+			return true
+		}
 	}
-	rt.raceSafe = make(map[uint32]bool, len(pcs))
-	for _, pc := range pcs {
-		rt.raceSafe[pc] = true
-	}
+	return false
 }
-
-// RaceElided returns how many sanitizer dispatches were skipped outright at
-// statically proven race-free sites (elision mode only).
-func (rt *Runtime) RaceElided() uint64 { return rt.raceElided }
 
 // checkRange validates a whole region at once (range interceptor path).
 func (rt *Runtime) checkRange(addr, size uint32, write bool, h *emu.Hart) {
@@ -598,23 +586,64 @@ func (rt *Runtime) KASANEngine() *KASAN { return rt.kasan }
 // KCSANEngine exposes the KCSAN engine (nil when not configured).
 func (rt *Runtime) KCSANEngine() *KCSAN { return rt.kcsan }
 
-// InstallInlineFastPath arms the machine's in-template shadow check at every
-// access site. It returns false — arming nothing — when skipping a clean
+// SiteProofs are the static proofs a deployment hands the site policy.
+type SiteProofs struct {
+	// SafeAccess lists access PCs the static prover showed can never touch
+	// invalid or poisoned memory; their dispatch is elided (EMBSAN-D).
+	SafeAccess []uint32
+	// RaceWeights is the lockset analysis' KCSAN arming weight per
+	// dispatch PC: 0 = never armed, above 1 = preferential, absent = 1.
+	RaceWeights map[uint32]uint8
+	// RaceSafe lists dispatch PCs proven race-free: KCSAN is skipped
+	// there outright. Each must weigh 0 in RaceWeights.
+	RaceSafe []uint32
+}
+
+// SetSitePolicy installs the runtime's per-site policy on the machine,
+// retranslating all code, and reports whether the in-template shadow check
+// is armed. The image's FENCE pads and the SafeAccess sites are elided.
+// With inline set, every other site is armed unless skipping a clean
 // dispatch would be observable: KCSAN samples watchpoints statefully on
 // every access, UBSAN reports misalignment on perfectly addressable memory,
 // and without KASAN there is no shadow to test. For pure KASAN, onMem is a
 // no-op on every access the template settles, and at suppressed PCs it
-// returns before any engine runs, so those sites skip the delegate outright.
-func (rt *Runtime) InstallInlineFastPath() bool {
-	if rt.kasan == nil || rt.kcsan != nil || rt.ubsan {
-		return false
+// returns before any engine runs, so those sites are quiet.
+func (rt *Runtime) SetSitePolicy(p SiteProofs, inline bool) (armed bool) {
+	els := rt.m.Image().Meta.Elisions
+	rt.elided = make(map[uint32]bool, len(els)+len(p.SafeAccess))
+	for _, e := range els {
+		rt.elided[e.Site] = true
 	}
-	quiet := make([]emu.PCRange, len(rt.suppress))
-	for i, r := range rt.suppress {
-		quiet[i] = emu.PCRange(r)
+	for _, pc := range p.SafeAccess {
+		rt.elided[pc] = true
 	}
-	rt.m.ArmInlineChecks(rt.kasan.Shadow().Bytes(), quiet)
-	return true
+	rt.raceSafe = make(map[uint32]bool, len(p.RaceSafe))
+	for _, pc := range p.RaceSafe {
+		rt.raceSafe[pc] = true
+	}
+	if rt.kcsan != nil {
+		rt.kcsan.weights = p.RaceWeights
+	}
+	rt.armed = inline && rt.kasan != nil && rt.kcsan == nil && !rt.ubsan
+	var shadow []byte
+	if rt.armed {
+		shadow = rt.kasan.Shadow().Bytes()
+	}
+	rt.m.SetSitePolicy(shadow, rt.site)
+	return rt.armed
+}
+
+// site is the policy the translator asks once per dispatch site.
+func (rt *Runtime) site(pc uint32) emu.Site {
+	switch {
+	case rt.elided[pc]:
+		return emu.SiteElided
+	case !rt.armed:
+		return emu.SiteCheck
+	case rt.suppressed(pc):
+		return emu.SiteQuiet
+	}
+	return emu.SiteInline
 }
 
 // Snapshot captures the runtime state in lockstep with Machine.Snapshot.

@@ -10,8 +10,9 @@
 //
 //   - the link-time EMBSAN-C pass (kasm.Image.ElideSancks) drops the SANCK
 //     trap in front of each proven access;
-//   - the EMBSAN-D engine (emu.Machine.SetSafeAccessPCs) specializes
-//     translation blocks to skip delegate dispatch for proven ops;
+//   - the EMBSAN-D engine (san.SiteProofs.SafeAccess, elided by the
+//     runtime's site policy) specializes translation blocks to skip
+//     delegate dispatch for proven ops;
 //   - `embsan lint -elide` re-derives the proofs and audits every recorded
 //     elision (Audit).
 //

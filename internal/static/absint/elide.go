@@ -56,7 +56,7 @@ func (r *Result) Elisions(mmioOnly bool) []kasm.Elision {
 }
 
 // SafeAccessPCs returns the proven access sites for the EMBSAN-D consumer
-// (emu.Machine.SetSafeAccessPCs). mmioOnly as in Elisions.
+// (san.SiteProofs.SafeAccess). mmioOnly as in Elisions.
 func (r *Result) SafeAccessPCs(mmioOnly bool) []uint32 {
 	var out []uint32
 	for _, a := range r.Accesses {

@@ -12,10 +12,10 @@
 // emitted symbol-addressed.
 //
 // Three consumers sit on top of it: the KCSAN watchpoint priority map
-// (emu.Machine.SetRaceSitePriorities — weight 0 at proven-safe sites,
-// boosted weights at racy ones), the concurrency-elision record in link
-// metadata (kasm.Metadata.RaceElisions, skipped outright by the sanitizer
-// runtime), and the `embsan lint -races` audit.
+// (san.SiteProofs.RaceWeights — weight 0 at proven-safe sites, boosted
+// weights at racy ones), the concurrency-elision record in link metadata
+// (kasm.Metadata.RaceElisions, skipped outright by the sanitizer runtime
+// through san.SiteProofs.RaceSafe), and the `embsan lint -races` audit.
 //
 // Known unsoundness boundaries (documented in docs/STATIC.md): unresolved
 // pointer accesses are never paired and never elided, but they are assumed
