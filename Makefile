@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build vet test test-short race lint elide-audit obs-check explain-check monitor-check fuzz-smoke bench-parallel perfbench-vet rehost-check races-check ci ci-short
+.PHONY: build vet test test-short race lint elide-audit obs-check explain-check monitor-check fuzz-smoke bench-parallel perfbench-vet rehost-check races-check cross-build ci ci-short
 
 build:
 	$(GO) build ./...
@@ -120,6 +120,13 @@ bench-parallel:
 perfbench-vet:
 	cd perfbench && GOWORK=off GOFLAGS= GOPROXY=off $(GO) vet .
 
+# Guest RAM is mapped through build-tagged files (an anonymous mapping on
+# linux, the Go heap elsewhere): build for two other platforms so a missing
+# tag breaks here.
+cross-build:
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+
 # Static race-triage gate: every registry firmware must be clean-or-expected
 # under the lockset analysis (seeded races flagged, race-free firmware with
 # zero candidate pairs), and the elision auditor must catch a planted bogus
@@ -128,7 +135,7 @@ races-check:
 	$(GO) run ./cmd/embsan lint -races -all
 	$(GO) run ./cmd/embsan lint -races -selftest
 
-ci: vet build lint elide-audit obs-check explain-check monitor-check race fuzz-smoke rehost-check perfbench-vet races-check
+ci: vet build cross-build lint elide-audit obs-check explain-check monitor-check race fuzz-smoke rehost-check perfbench-vet races-check
 
 # ci with the long campaign/overhead experiments skipped.
-ci-short: vet build lint elide-audit obs-check explain-check monitor-check race-short fuzz-smoke rehost-check perfbench-vet races-check
+ci-short: vet build cross-build lint elide-audit obs-check explain-check monitor-check race-short fuzz-smoke rehost-check perfbench-vet races-check

@@ -84,8 +84,9 @@ type Device interface {
 // dispatch, and NULL/unmapped fault generation.
 type bus struct {
 	ram     []byte
-	big     bool     // guest byte order is big-endian (MIPS32E)
-	dirty   []uint64 // one bit per RAM page, set on write
+	mem     *ramMapping // owns ram's mapping; nil when ram is on the Go heap
+	big     bool        // guest byte order is big-endian (MIPS32E)
+	dirty   []uint64    // one bit per RAM page, set on write
 	devices []Device
 
 	// MMIO dispatch accounting (accesses that reached a device), surfaced
@@ -95,6 +96,15 @@ type bus struct {
 
 func (b *bus) inRAM(addr, size uint32) bool {
 	return addr >= NullGuardSize && uint64(addr)+uint64(size) <= uint64(len(b.ram))
+}
+
+// zeroPage is the content of every page a snapshot keeps as nil.
+var zeroPage [pageSize]byte
+
+// page returns RAM page p (short if RAM ends inside it).
+func (b *bus) page(p int) []byte {
+	off := p << pageShift
+	return b.ram[off:min(off+pageSize, len(b.ram))]
 }
 
 func (b *bus) device(addr uint32) Device {

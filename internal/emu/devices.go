@@ -82,7 +82,7 @@ func (m *Mailbox) Write(addr, size, val uint32) {
 }
 
 func (m *Mailbox) Reset() {
-	m.input = nil
+	m.input = m.input[:0] // keep the capacity: Post refills it every exec
 	m.pending = false
 	m.done = false
 	m.doneCode = 0

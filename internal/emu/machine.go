@@ -1,8 +1,11 @@
 package emu
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"runtime"
 
 	"embsan/internal/isa"
 	"embsan/internal/kasm"
@@ -182,7 +185,9 @@ type Machine struct {
 	TestDev *TestDev
 	SanDev  *SanDev
 
-	pristine  []byte
+	// pristine is the restore point's RAM, one entry per page; nil means
+	// the page was all zeros.
+	pristine  []*[pageSize]byte
 	snapHarts []Hart
 	snapReady bool
 	snapICnt  uint64
@@ -336,7 +341,7 @@ func New(img *kasm.Image, cfg Config) (*Machine, error) {
 		devReads:     m.metrics.Counter("emu.mmio.reads"),
 		devWrites:    m.metrics.Counter("emu.mmio.writes"),
 	}
-	m.bus.ram = make([]byte, cfg.RAMSize)
+	m.bus.ram, m.bus.mem = newRAM(cfg.RAMSize)
 	m.bus.devReads = m.ctr.devReads
 	m.bus.devWrites = m.ctr.devWrites
 	m.bus.big = img.Arch.ByteOrder() == binary.BigEndian
@@ -355,8 +360,16 @@ func New(img *kasm.Image, cfg Config) (*Machine, error) {
 		}
 	}
 
-	copy(m.bus.ram[img.Base:], img.Text)
-	copy(m.bus.ram[img.DataAddr:], img.Data)
+	// The image pages are dirty: the first Snapshot must copy them.
+	for _, sec := range [...]struct {
+		addr uint32
+		b    []byte
+	}{{img.Base, img.Text}, {img.DataAddr, img.Data}} {
+		if len(sec.b) > 0 {
+			copy(m.bus.ram[sec.addr:], sec.b)
+			m.bus.markDirty(sec.addr, uint32(len(sec.b)))
+		}
+	}
 
 	m.harts = make([]Hart, cfg.MaxHarts)
 	for i := range m.harts {
@@ -590,6 +603,7 @@ func (m *Machine) ReadBytes(addr, n uint32) ([]byte, error) {
 	}
 	out := make([]byte, n)
 	copy(out, m.bus.ram[addr:])
+	runtime.KeepAlive(m)
 	return out, nil
 }
 
@@ -599,6 +613,7 @@ func (m *Machine) WriteBytes(addr uint32, b []byte) error {
 		return fmt.Errorf("emu: WriteBytes out of RAM: %#x+%d", addr, len(b))
 	}
 	copy(m.bus.ram[addr:], b)
+	runtime.KeepAlive(m)
 	m.bus.markDirty(addr, uint32(len(b)))
 	m.invalidateRange(addr, uint32(len(b)))
 	return nil
@@ -611,12 +626,14 @@ func (m *Machine) Peek(addr, size uint32) (uint32, bool) {
 		return 0, false
 	}
 	v, _ := m.bus.read(addr, size)
+	runtime.KeepAlive(m)
 	return v, true
 }
 
 // ReadWord reads a data word with the guest byte order.
 func (m *Machine) ReadWord(addr uint32) (uint32, error) {
 	v, f := m.bus.read(addr, 4)
+	runtime.KeepAlive(m)
 	if f != FaultNone {
 		return 0, fmt.Errorf("emu: ReadWord fault at %#x: %s", addr, f)
 	}
@@ -625,7 +642,9 @@ func (m *Machine) ReadWord(addr uint32) (uint32, error) {
 
 // WriteWord writes a data word with the guest byte order.
 func (m *Machine) WriteWord(addr, v uint32) error {
-	if f := m.write(addr, 4, v); f != FaultNone {
+	f := m.write(addr, 4, v)
+	runtime.KeepAlive(m)
+	if f != FaultNone {
 		return fmt.Errorf("emu: WriteWord fault at %#x: %s", addr, f)
 	}
 	return nil
@@ -643,13 +662,30 @@ func (m *Machine) write(addr, size, val uint32) FaultKind {
 
 // ---- snapshot / restore ----
 
-// Snapshot captures the current machine state as the restore point. The
-// dirty-page bitmap is reset so Restore only copies pages written since.
+// Snapshot captures the current machine state as the restore point. Only
+// the pages dirtied since the last Snapshot or Restore can differ from the
+// previous restore point (before the first, from all-zero RAM: the loader
+// marks the image pages dirty), so only those are copied. The dirty-page
+// bitmap is then reset so Restore only copies pages written since.
 func (m *Machine) Snapshot() {
 	if m.pristine == nil {
-		m.pristine = make([]byte, len(m.bus.ram))
+		m.pristine = make([]*[pageSize]byte, len(m.bus.dirty)*64)
 	}
-	copy(m.pristine, m.bus.ram)
+	for wi, w := range m.bus.dirty {
+		for ; w != 0; w &= w - 1 {
+			p := wi*64 + bits.TrailingZeros64(w)
+			page := m.bus.page(p)
+			switch {
+			case bytes.Equal(page, zeroPage[:len(page)]):
+				m.pristine[p] = nil
+			case m.pristine[p] == nil:
+				m.pristine[p] = new([pageSize]byte)
+				fallthrough
+			default:
+				copy(m.pristine[p][:], page)
+			}
+		}
+	}
 	m.snapHarts = append(m.snapHarts[:0], m.harts...)
 	m.snapReady = m.ReadyReached
 	m.snapICnt = m.icnt
@@ -670,14 +706,15 @@ func (m *Machine) Restore() {
 		if w == 0 {
 			continue
 		}
-		for b := 0; b < 64; b++ {
-			if w&(1<<b) == 0 {
-				continue
+		m.ctr.restorePages.Add(uint64(bits.OnesCount64(w)))
+		for rest := w; rest != 0; rest &= rest - 1 {
+			b := bits.TrailingZeros64(rest)
+			p := wi*64 + b
+			if src := m.pristine[p]; src != nil {
+				copy(m.bus.page(p), src[:])
+			} else {
+				clear(m.bus.page(p))
 			}
-			p := uint32(wi*64 + b)
-			off := p << pageShift
-			copy(m.bus.ram[off:off+pageSize], m.pristine[off:off+pageSize])
-			m.ctr.restorePages.Inc()
 			// Reverting text written since the snapshot stales every TB
 			// translated from it. A page dirtied only by data stores keeps
 			// its translations and the links into them.

@@ -35,7 +35,8 @@ type kasanRestoreCases struct {
 //	5     Snapshot + shadow Checkpoint
 //
 // After every restore the chunk table (key -> Chunk value), the quarantine
-// and the shadow must equal what the most recent snapshot captured.
+// and the shadow must equal what the most recent snapshot captured; the
+// shadow is compared against a full Clone taken beside the checkpoint.
 func runKASANRestore(t testing.TB, data []byte) kasanRestoreCases {
 	sh := NewShadow(1 << 16)
 	k := NewKASAN(sh, kasanQuarCap)
@@ -43,7 +44,8 @@ func runKASANRestore(t testing.TB, data []byte) kasanRestoreCases {
 	var (
 		cases     kasanRestoreCases
 		st        *KASANState
-		shSnap    *Shadow
+		shSnap    *Shadow // the sparse checkpoint restores come from
+		shFull    *Shadow // a full Clone taken with it, the reference
 		wantChunk map[uint32]Chunk
 		wantQuar  []uint32
 	)
@@ -90,10 +92,11 @@ func runKASANRestore(t testing.TB, data []byte) kasanRestoreCases {
 			if !slices.Equal(k.quarantine, wantQuar) {
 				t.Fatalf("op %d: quarantine after restore = %v, want %v", i/2, k.quarantine, wantQuar)
 			}
-			if !bytes.Equal(sh.Bytes(), shSnap.Bytes()) {
+			if !bytes.Equal(sh.Bytes(), shFull.Bytes()) {
 				t.Fatalf("op %d: shadow differs from its checkpoint after restore", i/2)
 			}
 		case 5:
+			shFull = sh.Clone()
 			shSnap = sh.Checkpoint()
 			st = k.Snapshot()
 			wantChunk = chunkValues(k)

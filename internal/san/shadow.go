@@ -6,6 +6,7 @@
 package san
 
 import (
+	"bytes"
 	"fmt"
 
 	"embsan/internal/obs"
@@ -76,6 +77,11 @@ type Shadow struct {
 	bytes []byte
 	size  uint32 // covered guest bytes
 
+	// chunks is a Checkpoint's sparse copy of the shadow, one entry per
+	// chunkSize granules; nil means the chunk was all zeros (addressable).
+	// A checkpoint has no bytes: it is only a RestoreFrom source.
+	chunks []*[chunkSize]byte
+
 	// Mutation window: the inclusive granule range touched by Poison or
 	// Unpoison since the last Checkpoint. RestoreFrom copies only this
 	// window back — the shadow analogue of the machine's dirty-page
@@ -87,6 +93,13 @@ type Shadow struct {
 	trace *obs.Ring
 	clock func() uint64
 }
+
+// chunkSize is the Checkpoint granularity in shadow bytes (32 KiB of guest
+// memory per chunk).
+const chunkSize = 4096
+
+// zeroChunk is the content of every chunk a checkpoint keeps as nil.
+var zeroChunk [chunkSize]byte
 
 // NewShadow creates shadow memory covering ramSize guest bytes.
 func NewShadow(ramSize uint32) *Shadow {
@@ -111,18 +124,28 @@ func (s *Shadow) CopyFrom(o *Shadow) {
 	s.mutLo, s.mutHi = ^uint32(0), 0
 }
 
-// Checkpoint deep-copies the shadow and resets the mutation window, so a
-// later RestoreFrom of the returned snapshot needs to copy back only the
-// granules poisoned or unpoisoned since this call.
+// Checkpoint snapshots the shadow, keeping only its non-zero chunks, and
+// resets the mutation window, so a later RestoreFrom of the returned
+// snapshot needs to copy back only the granules poisoned or unpoisoned
+// since this call.
 func (s *Shadow) Checkpoint() *Shadow {
-	out := s.Clone()
+	out := &Shadow{size: s.size, mutLo: ^uint32(0),
+		chunks: make([]*[chunkSize]byte, (len(s.bytes)+chunkSize-1)/chunkSize)}
+	for c := range out.chunks {
+		src := s.bytes[c*chunkSize : min((c+1)*chunkSize, len(s.bytes))]
+		if !bytes.Equal(src, zeroChunk[:len(src)]) {
+			out.chunks[c] = new([chunkSize]byte)
+			copy(out.chunks[c][:], src)
+		}
+	}
 	s.mutLo, s.mutHi = ^uint32(0), 0
 	return out
 }
 
-// RestoreFrom rewinds the shadow to a Checkpoint snapshot, copying only the
-// granule window mutated since. With a typical execution touching a tiny
-// fraction of guest RAM, this is far cheaper than the full-array CopyFrom.
+// RestoreFrom rewinds the shadow to a Checkpoint snapshot, copying back
+// (or clearing, for a chunk that was all zeros) only the granule window
+// mutated since. With a typical execution touching a tiny fraction of
+// guest RAM, this is far cheaper than the full-array CopyFrom.
 func (s *Shadow) RestoreFrom(snap *Shadow) {
 	lo, hi := s.mutLo, s.mutHi
 	s.mutLo, s.mutHi = ^uint32(0), 0
@@ -132,7 +155,16 @@ func (s *Shadow) RestoreFrom(snap *Shadow) {
 	if lo > hi {
 		return // no granule inside coverage was touched
 	}
-	copy(s.bytes[lo:hi+1], snap.bytes[lo:hi+1])
+	for end := hi + 1; lo < end; {
+		c := lo / chunkSize
+		next := min(end, (c+1)*chunkSize)
+		if src := snap.chunks[c]; src != nil {
+			copy(s.bytes[lo:next], src[lo-c*chunkSize:])
+		} else {
+			clear(s.bytes[lo:next])
+		}
+		lo = next
+	}
 }
 
 // noteMut widens the mutation window to include granules [first, last].

@@ -1,6 +1,7 @@
 package san
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -96,6 +97,47 @@ func TestQuickShadowAllocSemantics(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCheckpointSparse: a checkpoint keeps only its non-zero chunks, and
+// every RestoreFrom of it reproduces a full Clone taken with it, whichever
+// chunks the mutation since touched.
+func TestCheckpointSparse(t *testing.T) {
+	const chunk = chunkSize * Granularity // guest bytes per chunk
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *Shadow)
+	}{
+		{"nothing", func(s *Shadow) {}},
+		{"zero chunk poisoned", func(s *Shadow) { s.Poison(0x100, 64, CodeHeapFree) }},
+		{"kept chunk unpoisoned", func(s *Shadow) { s.Unpoison(2*chunk, chunk) }},
+		{"kept chunk poisoned", func(s *Shadow) { s.Poison(2*chunk+0x1000, 24, CodeHeapFree) }},
+		{"window across chunks", func(s *Shadow) { s.Poison(chunk-64, 3*chunk, CodeHeapRedzone) }},
+		{"last chunk", func(s *Shadow) { s.Poison(8*chunk-16, 16, CodeNull) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewShadow(8 * chunk)
+			s.Poison(2*chunk+64, 0x2000, CodeHeapRedzone)
+			full := s.Clone()
+			ck := s.Checkpoint()
+			kept := 0
+			for _, c := range ck.chunks {
+				if c != nil {
+					kept++
+				}
+			}
+			if kept != 1 {
+				t.Fatalf("checkpoint keeps %d chunks, want 1", kept)
+			}
+			for round := 0; round < 2; round++ {
+				tc.mutate(s)
+				s.RestoreFrom(ck)
+				if !bytes.Equal(s.Bytes(), full.Bytes()) {
+					t.Fatalf("round %d: shadow differs from its checkpoint after restore", round)
+				}
+			}
+		})
 	}
 }
 
