@@ -95,6 +95,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs/forensics -fuzz FuzzExplainRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/emu -fuzz FuzzChainedExecution -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
 	$(GO) test ./internal/emu -fuzz FuzzLoadImage -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
+	$(GO) test ./internal/core -fuzz FuzzDeploymentRewind -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
 	$(GO) test ./internal/san -fuzz FuzzKASANRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/san -fuzz FuzzInlineClean -fuzztime $(FUZZTIME)
 

@@ -83,10 +83,8 @@ type Device interface {
 // bus performs all data accesses: RAM with dirty-page tracking, MMIO
 // dispatch, and NULL/unmapped fault generation.
 type bus struct {
-	ram     []byte
-	mem     *ramMapping // owns ram's mapping; nil when ram is on the Go heap
-	big     bool        // guest byte order is big-endian (MIPS32E)
-	dirty   []uint64    // one bit per RAM page, set on write
+	ram     Memory // guest RAM in 4 KiB blocks
+	big     bool   // guest byte order is big-endian (MIPS32E)
 	devices []Device
 
 	// MMIO dispatch accounting (accesses that reached a device), surfaced
@@ -95,16 +93,7 @@ type bus struct {
 }
 
 func (b *bus) inRAM(addr, size uint32) bool {
-	return addr >= NullGuardSize && uint64(addr)+uint64(size) <= uint64(len(b.ram))
-}
-
-// zeroPage is the content of every page a snapshot keeps as nil.
-var zeroPage [pageSize]byte
-
-// page returns RAM page p (short if RAM ends inside it).
-func (b *bus) page(p int) []byte {
-	off := p << pageShift
-	return b.ram[off:min(off+pageSize, len(b.ram))]
+	return addr >= NullGuardSize && uint64(addr)+uint64(size) <= uint64(len(b.ram.bytes))
 }
 
 func (b *bus) device(addr uint32) Device {
@@ -116,31 +105,20 @@ func (b *bus) device(addr uint32) Device {
 	return nil
 }
 
-func (b *bus) markDirty(addr, size uint32) {
-	first, last := addr>>pageShift, (addr+size-1)>>pageShift
-	if first == last {
-		b.dirty[first>>6] |= 1 << (first & 63)
-		return
-	}
-	for p := first; p <= last; p++ {
-		b.dirty[p>>6] |= 1 << (p & 63)
-	}
-}
-
 // read returns the value at addr. A non-nil fault kind signals a bus error.
 func (b *bus) read(addr, size uint32) (uint32, FaultKind) {
 	if b.inRAM(addr, size) {
 		switch {
 		case size == 1:
-			return uint32(b.ram[addr]), FaultNone
+			return uint32(b.ram.bytes[addr]), FaultNone
 		case size == 2 && b.big:
-			return uint32(binary.BigEndian.Uint16(b.ram[addr:])), FaultNone
+			return uint32(binary.BigEndian.Uint16(b.ram.bytes[addr:])), FaultNone
 		case size == 2:
-			return uint32(binary.LittleEndian.Uint16(b.ram[addr:])), FaultNone
+			return uint32(binary.LittleEndian.Uint16(b.ram.bytes[addr:])), FaultNone
 		case b.big:
-			return binary.BigEndian.Uint32(b.ram[addr:]), FaultNone
+			return binary.BigEndian.Uint32(b.ram.bytes[addr:]), FaultNone
 		}
-		return binary.LittleEndian.Uint32(b.ram[addr:]), FaultNone
+		return binary.LittleEndian.Uint32(b.ram.bytes[addr:]), FaultNone
 	}
 	if addr >= MMIOBase {
 		if d := b.device(addr); d != nil {
@@ -157,18 +135,18 @@ func (b *bus) read(addr, size uint32) (uint32, FaultKind) {
 
 func (b *bus) write(addr, size, val uint32) FaultKind {
 	if b.inRAM(addr, size) {
-		b.markDirty(addr, size)
+		b.ram.MarkDirty(addr, size)
 		switch {
 		case size == 1:
-			b.ram[addr] = byte(val)
+			b.ram.bytes[addr] = byte(val)
 		case size == 2 && b.big:
-			binary.BigEndian.PutUint16(b.ram[addr:], uint16(val))
+			binary.BigEndian.PutUint16(b.ram.bytes[addr:], uint16(val))
 		case size == 2:
-			binary.LittleEndian.PutUint16(b.ram[addr:], uint16(val))
+			binary.LittleEndian.PutUint16(b.ram.bytes[addr:], uint16(val))
 		case b.big:
-			binary.BigEndian.PutUint32(b.ram[addr:], val)
+			binary.BigEndian.PutUint32(b.ram.bytes[addr:], val)
 		default:
-			binary.LittleEndian.PutUint32(b.ram[addr:], val)
+			binary.LittleEndian.PutUint32(b.ram.bytes[addr:], val)
 		}
 		return FaultNone
 	}

@@ -313,9 +313,8 @@ func TestCountersDependOnlyOnOwnRun(t *testing.T) {
 
 	// Each run counts its delegate calls at the padded store.
 	buf, _ := img.Lookup("buf")
-	clean := make([]byte, m1.RAMSize()/8)
-	poisoned := make([]byte, m1.RAMSize()/8)
-	poisoned[buf.Addr/8] = 0xFA
+	clean, poisoned := NewMemory(m1.RAMSize()/8, 9), NewMemory(m1.RAMSize()/8, 9)
+	poisoned.Bytes()[buf.Addr/8] = 0xFA
 	var site uint32
 	inline := func(uint32) Site { return SiteInline }
 	quietStore := func(pc uint32) Site {
@@ -324,7 +323,7 @@ func TestCountersDependOnlyOnOwnRun(t *testing.T) {
 		}
 		return SiteInline
 	}
-	run := func(name string, shadow []byte, policy func(uint32) Site, wantCalls int) Counters {
+	run := func(name string, shadow *Memory, policy func(uint32) Site, wantCalls int) Counters {
 		t.Helper()
 		m := newMachine(t, img)
 		calls := 0
@@ -345,15 +344,15 @@ func TestCountersDependOnlyOnOwnRun(t *testing.T) {
 		}
 		return m.Counters()
 	}
-	run("armed", clean, inline, 0)
+	run("armed", &clean, inline, 0)
 	if c := run("unarmed", nil, nil, 300); c.InlineFast+c.InlineSlow != 0 {
 		t.Errorf("unarmed machine ran armed steps: inline fast=%d slow=%d", c.InlineFast, c.InlineSlow)
 	}
-	first := run("armed+quiet", poisoned, quietStore, 0)
-	if again := run("armed+quiet again", poisoned, quietStore, 0); again != first {
+	first := run("armed+quiet", &poisoned, quietStore, 0)
+	if again := run("armed+quiet again", &poisoned, quietStore, 0); again != first {
 		t.Errorf("identically armed machines counted differently:\n first  %+v\n second %+v", first, again)
 	}
-	run("armed, poisoned", poisoned, inline, 300)
+	run("armed, poisoned", &poisoned, inline, 300)
 }
 
 // TestInlineFastPathCounters: a SiteInline site settles clean accesses in the
@@ -397,7 +396,7 @@ func TestInlineFastPathCounters(t *testing.T) {
 
 	// Armed with a clean shadow: the template settles every dispatch.
 	inline := func(uint32) Site { return SiteInline }
-	shadow := make([]byte, m1.RAMSize()/8)
+	shadow := NewMemory(m1.RAMSize()/8, 9)
 	m2 := newMachine(t, img)
 	calls2 := 0
 	m2.SetProbes(ProbeSet{Mem: func(ev *MemEvent) {
@@ -405,7 +404,7 @@ func TestInlineFastPathCounters(t *testing.T) {
 			calls2++
 		}
 	}})
-	m2.SetSitePolicy(shadow, inline)
+	m2.SetSitePolicy(&shadow, inline)
 	if r := m2.Run(0); r != StopExit {
 		t.Fatalf("m2: stop=%v", r)
 	}
@@ -426,9 +425,9 @@ func TestInlineFastPathCounters(t *testing.T) {
 			calls3++
 		}
 	}})
-	poisoned := make([]byte, m1.RAMSize()/8)
-	poisoned[buf.Addr/8] = 0xFA
-	m3.SetSitePolicy(poisoned, inline)
+	poisoned := NewMemory(m1.RAMSize()/8, 9)
+	poisoned.Bytes()[buf.Addr/8] = 0xFA
+	m3.SetSitePolicy(&poisoned, inline)
 	if r := m3.Run(0); r != StopExit {
 		t.Fatalf("m3: stop=%v", r)
 	}
@@ -441,7 +440,7 @@ func TestInlineFastPathCounters(t *testing.T) {
 	// Probes replaced after arming: the policy vouched only for the old
 	// delegate, so the new one must see every access.
 	m4 := newMachine(t, img)
-	m4.SetSitePolicy(shadow, inline)
+	m4.SetSitePolicy(&shadow, inline)
 	calls4 := 0
 	m4.SetProbes(ProbeSet{Mem: func(ev *MemEvent) {
 		if ev.Addr == buf.Addr {
@@ -526,10 +525,10 @@ func TestSitePolicyTable(t *testing.T) {
 			} else {
 				m.SetProbes(ProbeSet{Sanck: probe})
 			}
-			shadow := make([]byte, m.RAMSize()/8)
-			shadow[buf.Addr/8] = 0xFA
+			shadow := NewMemory(m.RAMSize()/8, 9)
+			shadow.Bytes()[buf.Addr/8] = 0xFA
 			asked := map[uint32]bool{}
-			m.SetSitePolicy(shadow, func(pc uint32) Site {
+			m.SetSitePolicy(&shadow, func(pc uint32) Site {
 				asked[pc] = true
 				return tc.state
 			})

@@ -26,25 +26,28 @@ func loadImage(t testing.TB, edit func(img *kasm.Image)) *kasm.Image {
 }
 
 // TestNewRejectsImagesPastRAM: a section that ends past RAM, however its end
-// is computed, is an error from New, never a host panic in the loader.
+// is computed, is an error from New, never a host panic in the loader; so
+// is a RAM size that is not a whole number of pages.
 func TestNewRejectsImagesPastRAM(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		edit func(img *kasm.Image)
 		ok   bool
+		ram  uint32
 	}{
-		{"linked", nil, true},
-		{"text past RAM", func(img *kasm.Image) { img.Base = 0x7fff0000 }, false},
-		{"data past RAM", func(img *kasm.Image) { img.DataAddr = 0x7fff0000 }, false},
+		{"linked", nil, true, 0},
+		{"text past RAM", func(img *kasm.Image) { img.Base = 0x7fff0000 }, false, 0},
+		{"data past RAM", func(img *kasm.Image) { img.DataAddr = 0x7fff0000 }, false, 0},
 		{"data straddles RAM end", func(img *kasm.Image) {
 			img.Data = make([]byte, 32)
 			img.DataAddr = DefaultRAMSize - 16
-		}, false},
-		{"bss past RAM", func(img *kasm.Image) { img.BSSAddr = DefaultRAMSize }, false},
-		{"bss end wraps", func(img *kasm.Image) { img.BSSAddr, img.BSSSize = 0x1000, 0xffffff00 }, false},
+		}, false, 0},
+		{"bss past RAM", func(img *kasm.Image) { img.BSSAddr = DefaultRAMSize }, false, 0},
+		{"bss end wraps", func(img *kasm.Image) { img.BSSAddr, img.BSSSize = 0x1000, 0xffffff00 }, false, 0},
+		{"RAM ends inside a page", nil, false, 1<<20 + 0x800},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := New(loadImage(t, tc.edit), Config{})
+			m, err := New(loadImage(t, tc.edit), Config{RAMSize: tc.ram})
 			if tc.ok != (err == nil) {
 				t.Fatalf("New: err=%v, want ok=%v", err, tc.ok)
 			}

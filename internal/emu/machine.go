@@ -1,10 +1,8 @@
 package emu
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"runtime"
 
 	"embsan/internal/isa"
@@ -145,16 +143,16 @@ type Machine struct {
 	// matching stamp proves a fresh target. It starts above the zero stamp
 	// and is 64 bits wide so it never wraps back to an old one.
 	chainGen uint64
-	// textDirty marks the pages whose text bytes were written since the
+	// textDirty holds the pages whose text bytes were written since the
 	// last Snapshot or Restore: Restore invalidates them when it reverts.
-	textDirty []uint64
+	textDirty blockSet
 	// resHeld is false only while no hart holds an LR reservation, letting
 	// stores skip the reservation sweep.
 	resHeld bool
 
 	// The per-site sanitizer policy and the shadow SiteInline sites test.
 	site       func(pc uint32) Site
-	siteShadow []byte
+	siteShadow *Memory
 
 	stop     StopReason
 	exitCode int32
@@ -185,13 +183,9 @@ type Machine struct {
 	TestDev *TestDev
 	SanDev  *SanDev
 
-	// pristine is the restore point's RAM, one entry per page; nil means
-	// the page was all zeros.
-	pristine  []*[pageSize]byte
-	snapHarts []Hart
+	snapHarts []Hart // nil until the first Snapshot
 	snapReady bool
 	snapICnt  uint64
-	hasSnap   bool
 
 	// Runtime accounting lives in named obs instruments (registered in the
 	// machine's metrics registry); ctr caches the pointers for the hot
@@ -300,6 +294,9 @@ func New(img *kasm.Image, cfg Config) (*Machine, error) {
 	if cfg.NoTBCache {
 		cfg.NoChain = true
 	}
+	if cfg.RAMSize%pageSize != 0 {
+		return nil, fmt.Errorf("emu: RAM size %#x is not a multiple of the %#x-byte page", cfg.RAMSize, pageSize)
+	}
 	// Every section must end inside RAM; the sums are taken in 64 bits so a
 	// hostile layout cannot wrap past the check.
 	for _, sec := range [...]struct{ addr, size uint64 }{
@@ -341,12 +338,11 @@ func New(img *kasm.Image, cfg Config) (*Machine, error) {
 		devReads:     m.metrics.Counter("emu.mmio.reads"),
 		devWrites:    m.metrics.Counter("emu.mmio.writes"),
 	}
-	m.bus.ram, m.bus.mem = newRAM(cfg.RAMSize)
+	m.bus.ram = NewMemory(cfg.RAMSize, pageShift)
 	m.bus.devReads = m.ctr.devReads
 	m.bus.devWrites = m.ctr.devWrites
 	m.bus.big = img.Arch.ByteOrder() == binary.BigEndian
-	m.bus.dirty = make([]uint64, (cfg.RAMSize>>pageShift+63)/64)
-	m.textDirty = make([]uint64, len(m.bus.dirty))
+	m.textDirty = newBlockSet(int(cfg.RAMSize >> pageShift))
 	m.pageGen = make([]uint32, cfg.RAMSize>>pageShift)
 
 	m.UART = &UART{}
@@ -366,8 +362,8 @@ func New(img *kasm.Image, cfg Config) (*Machine, error) {
 		b    []byte
 	}{{img.Base, img.Text}, {img.DataAddr, img.Data}} {
 		if len(sec.b) > 0 {
-			copy(m.bus.ram[sec.addr:], sec.b)
-			m.bus.markDirty(sec.addr, uint32(len(sec.b)))
+			copy(m.bus.ram.bytes[sec.addr:], sec.b)
+			m.bus.ram.MarkDirty(sec.addr, uint32(len(sec.b)))
 		}
 	}
 
@@ -400,10 +396,11 @@ const (
 // SetSitePolicy installs the per-site sanitizer policy (nil = SiteCheck
 // everywhere) and retranslates all code. The translator calls site once
 // per access, SANCK and FENCE site it translates while the matching probe
-// is installed. shadow must be the sanitizer's live backing array, which
-// SiteInline sites read on every dispatch. That a settled or elided
-// dispatch is unobservable is the caller's promise (san.Runtime).
-func (m *Machine) SetSitePolicy(shadow []byte, site func(pc uint32) Site) {
+// is installed. shadow is the sanitizer's live shadow, which SiteInline
+// sites read on every dispatch (nil only if site never answers SiteInline).
+// That a settled or elided dispatch is unobservable is the caller's promise
+// (san.Runtime).
+func (m *Machine) SetSitePolicy(shadow *Memory, site func(pc uint32) Site) {
 	m.siteShadow, m.site = shadow, site
 	m.flushTBs()
 }
@@ -602,7 +599,7 @@ func (m *Machine) ReadBytes(addr, n uint32) ([]byte, error) {
 		return nil, fmt.Errorf("emu: ReadBytes out of RAM: %#x+%d", addr, n)
 	}
 	out := make([]byte, n)
-	copy(out, m.bus.ram[addr:])
+	copy(out, m.bus.ram.bytes[addr:])
 	runtime.KeepAlive(m)
 	return out, nil
 }
@@ -612,9 +609,9 @@ func (m *Machine) WriteBytes(addr uint32, b []byte) error {
 	if !m.bus.inRAM(addr, uint32(len(b))) {
 		return fmt.Errorf("emu: WriteBytes out of RAM: %#x+%d", addr, len(b))
 	}
-	copy(m.bus.ram[addr:], b)
+	copy(m.bus.ram.bytes[addr:], b)
 	runtime.KeepAlive(m)
-	m.bus.markDirty(addr, uint32(len(b)))
+	m.bus.ram.MarkDirty(addr, uint32(len(b)))
 	m.invalidateRange(addr, uint32(len(b)))
 	return nil
 }
@@ -662,36 +659,15 @@ func (m *Machine) write(addr, size, val uint32) FaultKind {
 
 // ---- snapshot / restore ----
 
-// Snapshot captures the current machine state as the restore point. Only
-// the pages dirtied since the last Snapshot or Restore can differ from the
-// previous restore point (before the first, from all-zero RAM: the loader
-// marks the image pages dirty), so only those are copied. The dirty-page
-// bitmap is then reset so Restore only copies pages written since.
+// Snapshot captures the current machine state as the restore point. RAM
+// copies only the pages dirtied since the last Snapshot or Restore (before
+// the first, since all-zero RAM: the loader marks the image pages dirty).
 func (m *Machine) Snapshot() {
-	if m.pristine == nil {
-		m.pristine = make([]*[pageSize]byte, len(m.bus.dirty)*64)
-	}
-	for wi, w := range m.bus.dirty {
-		for ; w != 0; w &= w - 1 {
-			p := wi*64 + bits.TrailingZeros64(w)
-			page := m.bus.page(p)
-			switch {
-			case bytes.Equal(page, zeroPage[:len(page)]):
-				m.pristine[p] = nil
-			case m.pristine[p] == nil:
-				m.pristine[p] = new([pageSize]byte)
-				fallthrough
-			default:
-				copy(m.pristine[p][:], page)
-			}
-		}
-	}
+	m.bus.ram.Snapshot()
 	m.snapHarts = append(m.snapHarts[:0], m.harts...)
 	m.snapReady = m.ReadyReached
 	m.snapICnt = m.icnt
-	clear(m.bus.dirty)
-	clear(m.textDirty)
-	m.hasSnap = true
+	m.textDirty.drain(func(uint32) {})
 	if m.trace != nil {
 		m.trace.Emit(obs.Event{ICnt: m.icnt, Kind: obs.EvSnapshot, Hart: uint8(m.cur)})
 	}
@@ -699,33 +675,17 @@ func (m *Machine) Snapshot() {
 
 // Restore rewinds RAM (dirty pages only), harts and devices to the snapshot.
 func (m *Machine) Restore() {
-	if !m.hasSnap {
+	if m.snapHarts == nil {
 		return
 	}
-	for wi, w := range m.bus.dirty {
-		if w == 0 {
-			continue
-		}
-		m.ctr.restorePages.Add(uint64(bits.OnesCount64(w)))
-		for rest := w; rest != 0; rest &= rest - 1 {
-			b := bits.TrailingZeros64(rest)
-			p := wi*64 + b
-			if src := m.pristine[p]; src != nil {
-				copy(m.bus.page(p), src[:])
-			} else {
-				clear(m.bus.page(p))
-			}
-			// Reverting text written since the snapshot stales every TB
-			// translated from it. A page dirtied only by data stores keeps
-			// its translations and the links into them.
-			if m.textDirty[wi]&(1<<b) != 0 {
-				m.pageGen[p]++
-				m.chainGen++
-			}
-		}
-		m.bus.dirty[wi] = 0
-		m.textDirty[wi] = 0
-	}
+	// Reverting text written since the snapshot stales every TB translated
+	// from it. A page dirtied only by data stores keeps its translations
+	// and the links into them.
+	m.textDirty.drain(func(p uint32) {
+		m.pageGen[p]++
+		m.chainGen++
+	})
+	m.ctr.restorePages.Add(uint64(m.bus.ram.Restore()))
 	copy(m.harts, m.snapHarts)
 	m.resHeld = true // the snapshot's harts may hold reservations
 	m.ReadyReached = m.snapReady

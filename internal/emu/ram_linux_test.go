@@ -1,43 +1,53 @@
-package emu
+package emu_test
 
 import (
 	"runtime"
 	"testing"
 	"time"
+
+	"embsan/internal/core"
+	"embsan/internal/emu"
+	"embsan/internal/guest/firmware"
 )
 
-// TestRAMMappingsReleased: a dropped machine's RAM mapping is unmapped once
-// the collector finds the machine unreachable.
+// TestRAMMappingsReleased: a dropped deployment's guest RAM and shadow
+// mappings are unmapped once the collector finds them unreachable.
 func TestRAMMappingsReleased(t *testing.T) {
-	img := loadImage(t, nil)
-	// Let machines dropped by earlier tests go first, so none is released
+	fw, err := firmware.Build("InfiniTime")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Let mappings dropped by earlier tests go first, so none is released
 	// while this test counts its own.
 	base := int64(-1)
-	for now := mappedBytes.Load(); now != base; now = mappedBytes.Load() {
+	for now := emu.MappedBytes(); now != base; now = emu.MappedBytes() {
 		base = now
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	live := make([]*Machine, 64)
+	const n = 64
+	live := make([]*core.Instance, n)
 	for i := range live {
-		m, err := New(img, Config{})
+		inst, err := core.New(core.Config{Image: fw.Image, Sanitizers: []string{"kasan"}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.bus.mem == nil {
-			t.Fatal("guest RAM is not mapped")
+		if err := inst.Boot(200_000_000); err != nil {
+			t.Fatal(err)
 		}
-		m.Run(10_000)
-		m.Snapshot()
-		live[i] = m
+		inst.Snapshot()
+		inst.Exec(fw.Seeds[0], 1_000_000)
+		inst.Restore()
+		live[i] = inst
 	}
-	if got := mappedBytes.Load(); got < base+64*DefaultRAMSize {
-		t.Fatalf("64 live machines map %d bytes, want at least %d", got-base, 64*DefaultRAMSize)
+	const each = emu.DefaultRAMSize + emu.DefaultRAMSize/8 // RAM and its shadow
+	if got := emu.MappedBytes(); got < base+n*each {
+		t.Fatalf("%d live deployments map %d bytes, want at least %d", n, got-base, n*each)
 	}
 	runtime.KeepAlive(live)
-	for deadline := time.Now().Add(10 * time.Second); mappedBytes.Load() > base; {
+	for deadline := time.Now().Add(10 * time.Second); emu.MappedBytes() > base; {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d bytes still mapped after the machines were dropped", mappedBytes.Load()-base)
+			t.Fatalf("%d bytes still mapped after the deployments were dropped", emu.MappedBytes()-base)
 		}
 		runtime.GC()
 		time.Sleep(time.Millisecond)

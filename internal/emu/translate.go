@@ -144,13 +144,13 @@ func (m *Machine) chainNext(t *tb, h *Hart, taken bool) (*tb, FaultKind) {
 }
 
 func (m *Machine) translate(pc uint32) (*tb, FaultKind) {
-	if pc&3 != 0 || pc < NullGuardSize || uint64(pc)+4 > uint64(len(m.bus.ram)) {
+	if pc&3 != 0 || pc < NullGuardSize || uint64(pc)+4 > uint64(len(m.bus.ram.bytes)) {
 		return nil, FaultBadFetch
 	}
 	t := &tb{pc: pc, gen: m.globalGen, pgen: m.pageGen[pc>>pageShift]}
 	pageEnd := (pc &^ (pageSize - 1)) + pageSize
 	for cur := pc; cur < pageEnd && len(t.steps) < maxTBLen; cur += 4 {
-		word := m.arch.Word(m.bus.ram[cur:])
+		word := m.arch.Word(m.bus.ram.bytes[cur:])
 		inst, err := isa.Decode(word, m.arch)
 		if err != nil {
 			if cur == pc {
@@ -233,7 +233,7 @@ func (m *Machine) invalidateRange(addr, size uint32) {
 	for p := first; p <= last; p++ {
 		m.pageGen[p]++
 		m.chainGen++
-		m.textDirty[p>>6] |= 1 << (p & 63)
+		m.textDirty.add(p)
 	}
 }
 
@@ -798,7 +798,7 @@ func (m *Machine) inlineClean(addr, size uint32) bool {
 	if addr >= MMIOBase {
 		return true
 	}
-	sh := m.siteShadow
+	sh := m.siteShadow.bytes
 	g, last := addr>>3, (addr+size-1)>>3
 	if addr < NullGuardSize || last >= uint32(len(sh)) {
 		return false

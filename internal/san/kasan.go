@@ -17,7 +17,7 @@ type KASAN struct {
 	// touched lists the chunk-table keys written (allocated, freed or
 	// evicted) since the last Snapshot or RestoreState, repeats allowed.
 	// RestoreState rewinds exactly these keys — the chunk-table analogue of
-	// the shadow's mutation window. Nothing is recorded before the first
+	// the shadow's dirty blocks. Nothing is recorded before the first
 	// Snapshot, when there is no state to rewind to, so a long boot does
 	// not grow the list.
 	touched []uint32

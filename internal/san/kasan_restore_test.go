@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -31,12 +32,12 @@ type kasanRestoreCases struct {
 // (the op and slot byte, then a size/pc byte):
 //
 //	0, 1  allocate a slot       3  free a slot's interior (invalid free)
-//	2     free a slot           4  RestoreState + shadow RestoreFrom
-//	5     Snapshot + shadow Checkpoint
+//	2     free a slot           4  RestoreState + shadow Restore
+//	5     Snapshot + shadow Snapshot
 //
 // After every restore the chunk table (key -> Chunk value), the quarantine
 // and the shadow must equal what the most recent snapshot captured; the
-// shadow is compared against a full Clone taken beside the checkpoint.
+// shadow is compared against a full copy taken beside its Snapshot.
 func runKASANRestore(t testing.TB, data []byte) kasanRestoreCases {
 	sh := NewShadow(1 << 16)
 	k := NewKASAN(sh, kasanQuarCap)
@@ -44,8 +45,7 @@ func runKASANRestore(t testing.TB, data []byte) kasanRestoreCases {
 	var (
 		cases     kasanRestoreCases
 		st        *KASANState
-		shSnap    *Shadow // the sparse checkpoint restores come from
-		shFull    *Shadow // a full Clone taken with it, the reference
+		shFull    []byte // a full copy of the shadow taken at its Snapshot
 		wantChunk map[uint32]Chunk
 		wantQuar  []uint32
 	)
@@ -83,7 +83,7 @@ func runKASANRestore(t testing.TB, data []byte) kasanRestoreCases {
 			if st == nil {
 				continue
 			}
-			sh.RestoreFrom(shSnap)
+			sh.Restore()
 			k.RestoreState(st)
 			cases.restores++
 			if got := chunkValues(k); !reflect.DeepEqual(got, wantChunk) {
@@ -92,17 +92,18 @@ func runKASANRestore(t testing.TB, data []byte) kasanRestoreCases {
 			if !slices.Equal(k.quarantine, wantQuar) {
 				t.Fatalf("op %d: quarantine after restore = %v, want %v", i/2, k.quarantine, wantQuar)
 			}
-			if !bytes.Equal(sh.Bytes(), shFull.Bytes()) {
-				t.Fatalf("op %d: shadow differs from its checkpoint after restore", i/2)
+			if !bytes.Equal(sh.Bytes(), shFull) {
+				t.Fatalf("op %d: shadow differs from its snapshot after restore", i/2)
 			}
 		case 5:
-			shFull = sh.Clone()
-			shSnap = sh.Checkpoint()
+			shFull = bytes.Clone(sh.Bytes())
+			sh.Snapshot()
 			st = k.Snapshot()
 			wantChunk = chunkValues(k)
 			wantQuar = append([]uint32(nil), k.quarantine...)
 		}
 	}
+	runtime.KeepAlive(sh) // the loop compared its bytes
 	return cases
 }
 

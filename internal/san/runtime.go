@@ -81,7 +81,6 @@ type Runtime struct {
 	// the emulator, but copying it per allocator event costs.
 	forensics bool
 
-	shadowSnap    *Shadow
 	kasanSnap     *KASANState
 	enabledAtSnap bool
 }
@@ -149,9 +148,8 @@ func Attach(m *emu.Machine, opts Options) (*Runtime, error) {
 		}
 	}
 
-	shadow := NewShadow(m.RAMSize())
 	if wantsKASAN {
-		rt.kasan = NewKASAN(shadow, opts.Quarantine)
+		rt.kasan = NewKASAN(NewShadow(m.RAMSize()), opts.Quarantine)
 	}
 	if wantsKCSAN {
 		rt.kcsan = NewKCSAN(opts.KCSAN, func(addr, size uint32) (uint32, bool) {
@@ -625,9 +623,9 @@ func (rt *Runtime) SetSitePolicy(p SiteProofs, inline bool) (armed bool) {
 		rt.kcsan.weights = p.RaceWeights
 	}
 	rt.armed = inline && rt.kasan != nil && rt.kcsan == nil && !rt.ubsan
-	var shadow []byte
+	var shadow *emu.Memory
 	if rt.armed {
-		shadow = rt.kasan.Shadow().Bytes()
+		shadow = rt.kasan.Shadow().mem
 	}
 	rt.m.SetSitePolicy(shadow, rt.site)
 	return rt.armed
@@ -649,7 +647,7 @@ func (rt *Runtime) site(pc uint32) emu.Site {
 // Snapshot captures the runtime state in lockstep with Machine.Snapshot.
 func (rt *Runtime) Snapshot() {
 	if rt.kasan != nil {
-		rt.shadowSnap = rt.kasan.Shadow().Checkpoint()
+		rt.kasan.Shadow().Snapshot()
 		rt.kasanSnap = rt.kasan.Snapshot()
 	}
 	rt.enabledAtSnap = rt.enabled
@@ -657,8 +655,8 @@ func (rt *Runtime) Snapshot() {
 
 // Restore rewinds the runtime state in lockstep with Machine.Restore.
 func (rt *Runtime) Restore() {
-	if rt.kasan != nil && rt.shadowSnap != nil {
-		rt.kasan.Shadow().RestoreFrom(rt.shadowSnap)
+	if rt.kasan != nil && rt.kasanSnap != nil {
+		rt.kasan.Shadow().Restore()
 		rt.kasan.RestoreState(rt.kasanSnap)
 	}
 	if rt.kcsan != nil {

@@ -6,9 +6,10 @@
 package san
 
 import (
-	"bytes"
 	"fmt"
+	"runtime"
 
+	"embsan/internal/emu"
 	"embsan/internal/obs"
 )
 
@@ -73,20 +74,10 @@ func CodeByName(name string) (byte, bool) {
 // Shadow is the unified shadow memory covering all of guest RAM. It records
 // addressability state for every sanitizer functionality in one place,
 // conserving host memory and keeping the DSL-to-state transformation simple.
+// Its bytes are an emu.Memory, rewound with the machine like guest RAM.
 type Shadow struct {
-	bytes []byte
-	size  uint32 // covered guest bytes
-
-	// chunks is a Checkpoint's sparse copy of the shadow, one entry per
-	// chunkSize granules; nil means the chunk was all zeros (addressable).
-	// A checkpoint has no bytes: it is only a RestoreFrom source.
-	chunks []*[chunkSize]byte
-
-	// Mutation window: the inclusive granule range touched by Poison or
-	// Unpoison since the last Checkpoint. RestoreFrom copies only this
-	// window back — the shadow analogue of the machine's dirty-page
-	// restore. Empty is encoded as mutLo > mutHi.
-	mutLo, mutHi uint32
+	mem   *emu.Memory
+	bytes []byte // mem's bytes
 
 	// Optional trace sink. clock supplies the virtual timestamp (the
 	// machine's instruction counter); both are nil unless tracing is on.
@@ -94,87 +85,35 @@ type Shadow struct {
 	clock func() uint64
 }
 
-// chunkSize is the Checkpoint granularity in shadow bytes (32 KiB of guest
-// memory per chunk).
-const chunkSize = 4096
-
-// zeroChunk is the content of every chunk a checkpoint keeps as nil.
-var zeroChunk [chunkSize]byte
-
-// NewShadow creates shadow memory covering ramSize guest bytes.
+// NewShadow creates shadow memory covering ramSize guest bytes, rewound in
+// 512-byte blocks: one per 4 KiB guest page.
 func NewShadow(ramSize uint32) *Shadow {
-	return &Shadow{bytes: make([]byte, ramSize/Granularity), size: ramSize, mutLo: ^uint32(0)}
+	mem := emu.NewMemory(ramSize/Granularity, 9)
+	return &Shadow{mem: &mem, bytes: mem.Bytes()}
 }
 
 // Bytes exposes the live shadow byte array (one byte per 8-byte granule).
-// The machine's in-template fast path reads it directly; callers must not
-// retain it across a shadow of different size and must never write to it.
+// Callers must never write to it, and must keep the Shadow while they
+// hold it.
 func (s *Shadow) Bytes() []byte { return s.bytes }
 
-// Clone deep-copies the shadow (snapshot support).
-func (s *Shadow) Clone() *Shadow {
-	out := &Shadow{bytes: make([]byte, len(s.bytes)), size: s.size, mutLo: ^uint32(0)}
-	copy(out.bytes, s.bytes)
-	return out
-}
+// Snapshot makes the current shadow the restore point.
+func (s *Shadow) Snapshot() { s.mem.Snapshot() }
 
-// CopyFrom restores this shadow from a clone of equal size.
-func (s *Shadow) CopyFrom(o *Shadow) {
-	copy(s.bytes, o.bytes)
-	s.mutLo, s.mutHi = ^uint32(0), 0
-}
+// Restore rewinds the shadow to the restore point, copying back only the
+// blocks Poison or Unpoison wrote since the last Snapshot or Restore, and
+// returns how many it rewound.
+func (s *Shadow) Restore() int { return s.mem.Restore() }
 
-// Checkpoint snapshots the shadow, keeping only its non-zero chunks, and
-// resets the mutation window, so a later RestoreFrom of the returned
-// snapshot needs to copy back only the granules poisoned or unpoisoned
-// since this call.
-func (s *Shadow) Checkpoint() *Shadow {
-	out := &Shadow{size: s.size, mutLo: ^uint32(0),
-		chunks: make([]*[chunkSize]byte, (len(s.bytes)+chunkSize-1)/chunkSize)}
-	for c := range out.chunks {
-		src := s.bytes[c*chunkSize : min((c+1)*chunkSize, len(s.bytes))]
-		if !bytes.Equal(src, zeroChunk[:len(src)]) {
-			out.chunks[c] = new([chunkSize]byte)
-			copy(out.chunks[c][:], src)
-		}
+// markWritten marks the granules [first, last] for the caller to write,
+// clamped to coverage (a guest allocator can hand out a range past RAM, or
+// one whose end wraps past 2^32), and returns the end of the clamped range.
+func (s *Shadow) markWritten(first, last uint32) (end uint32) {
+	end = min(last+1, uint32(len(s.bytes)))
+	if first < end {
+		s.mem.MarkDirty(first, end-first)
 	}
-	s.mutLo, s.mutHi = ^uint32(0), 0
-	return out
-}
-
-// RestoreFrom rewinds the shadow to a Checkpoint snapshot, copying back
-// (or clearing, for a chunk that was all zeros) only the granule window
-// mutated since. With a typical execution touching a tiny fraction of
-// guest RAM, this is far cheaper than the full-array CopyFrom.
-func (s *Shadow) RestoreFrom(snap *Shadow) {
-	lo, hi := s.mutLo, s.mutHi
-	s.mutLo, s.mutHi = ^uint32(0), 0
-	if hi >= uint32(len(s.bytes)) {
-		hi = uint32(len(s.bytes)) - 1
-	}
-	if lo > hi {
-		return // no granule inside coverage was touched
-	}
-	for end := hi + 1; lo < end; {
-		c := lo / chunkSize
-		next := min(end, (c+1)*chunkSize)
-		if src := snap.chunks[c]; src != nil {
-			copy(s.bytes[lo:next], src[lo-c*chunkSize:])
-		} else {
-			clear(s.bytes[lo:next])
-		}
-		lo = next
-	}
-}
-
-// noteMut widens the mutation window to include granules [first, last].
-func (s *Shadow) noteMut(first, last uint32) {
-	if first < s.mutLo {
-		s.mutLo = first
-	}
-	if last > s.mutHi {
-		s.mutHi = last
-	}
+	return end
 }
 
 // SetTrace attaches (or, with nil arguments, detaches) a trace ring and the
@@ -196,9 +135,8 @@ func (s *Shadow) Poison(addr, size uint32, code byte) {
 	}
 	end := addr + size
 	first := addr / Granularity
-	last := (end - 1) / Granularity
-	s.noteMut(first, last)
-	for g := first; g <= last && g < uint32(len(s.bytes)); g++ {
+	stop := s.markWritten(first, (end-1)/Granularity)
+	for g := first; g < stop; g++ {
 		gStart := g * Granularity
 		if gStart < addr {
 			// Leading partial granule: the first addr-gStart bytes stay
@@ -222,6 +160,7 @@ func (s *Shadow) Poison(addr, size uint32, code byte) {
 		}
 		s.bytes[g] = code
 	}
+	runtime.KeepAlive(s)
 }
 
 // Unpoison marks [addr, addr+size) addressable. A trailing partial granule
@@ -235,9 +174,8 @@ func (s *Shadow) Unpoison(addr, size uint32) {
 	}
 	end := addr + size
 	first := addr / Granularity
-	last := (end - 1) / Granularity
-	s.noteMut(first, last)
-	for g := first; g <= last && g < uint32(len(s.bytes)); g++ {
+	stop := s.markWritten(first, (end-1)/Granularity)
+	for g := first; g < stop; g++ {
 		gStart := g * Granularity
 		gEnd := gStart + Granularity
 		if gEnd <= end {
@@ -246,6 +184,7 @@ func (s *Shadow) Unpoison(addr, size uint32) {
 		}
 		s.bytes[g] = byte(end - gStart)
 	}
+	runtime.KeepAlive(s)
 }
 
 // Get returns the shadow byte for addr.
@@ -254,7 +193,9 @@ func (s *Shadow) Get(addr uint32) byte {
 	if g >= uint32(len(s.bytes)) {
 		return 0
 	}
-	return s.bytes[g]
+	sb := s.bytes[g]
+	runtime.KeepAlive(s)
+	return sb
 }
 
 // Check validates an access of size bytes at addr. It returns ok=true when
@@ -271,6 +212,7 @@ func (s *Shadow) Check(addr, size uint32) (badAddr uint32, code byte, ok bool) {
 			return a, 0, true // outside shadow coverage: not ours to judge
 		}
 		sb := s.bytes[g]
+		runtime.KeepAlive(s)
 		gStart := g * Granularity
 		switch {
 		case sb == 0:
@@ -299,8 +241,10 @@ func (s *Shadow) Check(addr, size uint32) (badAddr uint32, code byte, ok bool) {
 // tailCode guesses the poison kind of a partial granule's invalid tail by
 // looking at the following granule (which carries the explicit code).
 func (s *Shadow) tailCode(g uint32) byte {
+	code := CodeHeapRedzone
 	if g+1 < uint32(len(s.bytes)) && IsPoison(s.bytes[g+1]) {
-		return s.bytes[g+1]
+		code = s.bytes[g+1]
 	}
-	return CodeHeapRedzone
+	runtime.KeepAlive(s)
+	return code
 }

@@ -1,6 +1,9 @@
 package san
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // Table-driven edge cases for the unified shadow: zero-size accesses,
 // accesses straddling a redzone boundary, the last addressable byte of RAM,
@@ -105,9 +108,9 @@ func TestShadowEdgeCases(t *testing.T) {
 	}
 }
 
-// TestShadowSnapshotRoundTripPoisoned: cloning a shadow with poisoned and
-// partially valid granules and restoring through CopyFrom reproduces every
-// verdict, including after the live shadow diverges.
+// TestShadowSnapshotRoundTripPoisoned: snapshotting a shadow with poisoned
+// and partially valid granules and restoring it reproduces every verdict,
+// including after the live shadow diverges.
 func TestShadowSnapshotRoundTripPoisoned(t *testing.T) {
 	const ram = 1 << 14
 	s := NewShadow(ram)
@@ -115,7 +118,8 @@ func TestShadowSnapshotRoundTripPoisoned(t *testing.T) {
 	s.Unpoison(0x400, 29) // partial granule prefix
 	s.Poison(ram-Granularity, Granularity, CodeStackRedzone)
 
-	snap := s.Clone()
+	s.Snapshot()
+	snap := bytes.Clone(s.Bytes())
 
 	verdict := func(sh *Shadow) [4]byte {
 		var out [4]byte
@@ -141,14 +145,15 @@ func TestShadowSnapshotRoundTripPoisoned(t *testing.T) {
 	if got := verdict(s); got == want {
 		t.Fatal("divergence probe did not change any verdict; test is vacuous")
 	}
-	s.CopyFrom(snap)
+	s.Restore()
 	if got := verdict(s); got != want {
 		t.Errorf("verdicts after restore = %v, want %v", got, want)
 	}
 
-	// The snapshot itself must be unaffected by mutations to the original.
+	// The restore point must be unaffected by mutations to the live shadow.
 	s.Poison(0x400, 64, CodeHeapFree)
-	if got := verdict(snap); got != want {
-		t.Errorf("snapshot mutated through the original: %v, want %v", got, want)
+	s.Restore()
+	if got := verdict(s); got != want || !bytes.Equal(s.Bytes(), snap) {
+		t.Errorf("restore point mutated through the live shadow: %v, want %v", got, want)
 	}
 }
