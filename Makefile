@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build vet test test-short race lint elide-audit obs-check explain-check monitor-check fuzz-smoke bench-parallel perfbench-vet rehost-check races-check cross-build ci ci-short
+.PHONY: build vet test test-short race lint obs-check explain-check monitor-check fuzz-smoke bench-parallel perfbench-vet rehost-check races-check cross-build ci ci-short
 
 build:
 	$(GO) build ./...
@@ -31,13 +31,6 @@ lint:
 		echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 	$(GO) run ./cmd/embsan lint -all
 	$(GO) run ./cmd/embsan lint -selftest
-
-# The link-time elision audit: every registry firmware is elided and every
-# recorded elision's safety proof re-derived, and the auditor must prove it
-# catches a deliberately bogus elision.
-elide-audit:
-	$(GO) run ./cmd/embsan lint -elide -all
-	$(GO) run ./cmd/embsan lint -elide -selftest
 
 # Observability checks: trace a registry firmware end to end (the exporter
 # validates its own Chrome trace_event output and two runs must be
@@ -130,13 +123,12 @@ cross-build:
 
 # Static race-triage gate: every registry firmware must be clean-or-expected
 # under the lockset analysis (seeded races flagged, race-free firmware with
-# zero candidate pairs), and the elision auditor must catch a planted bogus
-# lockset. Guided-vs-uniform KCSAN finding is TestRaceGuidedBeatsUniform.
+# zero candidate pairs; the race twin is the positive control).
+# Guided-vs-uniform KCSAN finding is TestRaceGuidedBeatsUniform.
 races-check:
 	$(GO) run ./cmd/embsan lint -races -all
-	$(GO) run ./cmd/embsan lint -races -selftest
 
-ci: vet build cross-build lint elide-audit obs-check explain-check monitor-check race fuzz-smoke rehost-check perfbench-vet races-check
+ci: vet build cross-build lint obs-check explain-check monitor-check race fuzz-smoke rehost-check perfbench-vet races-check
 
 # ci with the long campaign/overhead experiments skipped.
-ci-short: vet build cross-build lint elide-audit obs-check explain-check monitor-check race-short fuzz-smoke rehost-check perfbench-vet races-check
+ci-short: vet build cross-build lint obs-check explain-check monitor-check race-short fuzz-smoke rehost-check perfbench-vet races-check

@@ -76,31 +76,6 @@ func BenchmarkTable3Campaign(b *testing.B) {
 	}
 }
 
-// BenchmarkElisionStats measures the static safety-proof dispatch saving
-// on one EMBSAN-C firmware: the plain and elided deployments replay the
-// same deterministic input stream, and the elided fraction of dynamic
-// SANCK traps is reported as a metric (the tentpole's >=15% target; the
-// registry-wide table is `embsan-bench -elision`).
-func BenchmarkElisionStats(b *testing.B) {
-	fw, err := firmware.Build("OpenWRT-armvirt")
-	if err != nil {
-		b.Fatal(err)
-	}
-	fws := []*firmware.Firmware{fw}
-	var frac float64
-	for i := 0; i < b.N; i++ {
-		stats, err := exps.RunElisionStats(fws, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		frac = stats[0].Frac()
-		if stats[0].Elided == 0 {
-			b.Fatal("no dynamic traps elided")
-		}
-	}
-	b.ReportMetric(frac*100, "%elided")
-}
-
 // campaignSeed parameterises the campaign benchmark series: the default
 // matches the evaluation seed, and sweeping it checks the throughput numbers
 // are not an artefact of one lucky corpus trajectory.

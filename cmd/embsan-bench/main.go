@@ -8,7 +8,6 @@
 //	embsan-bench -table 3         # fuzzing campaign classification (Table 3)
 //	embsan-bench -table 4         # full found-bug list (Table 4)
 //	embsan-bench -figure 2        # runtime overhead (Figure 2)
-//	embsan-bench -elision         # dispatch savings from static safety proofs
 //	embsan-bench -all [-workers 4]
 //
 // The table 3/4 campaigns run on the deterministic parallel executor
@@ -35,7 +34,6 @@ func main() {
 		progs   = flag.Int("programs", 16, "workload size for figure 2")
 		seed    = flag.Int64("seed", 7, "RNG seed")
 		workers = flag.Int("workers", 0, "campaign worker pool size (0 = GOMAXPROCS, 1 = serial)")
-		elision = flag.Bool("elision", false, "measure sanitizer dispatches elided by static safety proofs")
 		trace   = flag.String("trace", "", "capture table 3/4 campaign traces and write a Chrome trace_event JSON to this file")
 		metrics = flag.Bool("metrics", false, "append the per-phase virtual-time breakdown to the campaign stats")
 	)
@@ -91,14 +89,7 @@ func main() {
 		}
 		fmt.Println(exps.FormatFigure2(rows))
 	}
-	if *elision || *all {
-		stats, err := exps.RunElisionStats(nil, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(exps.FormatElisionTable(stats))
-	}
-	if !*all && *table == 0 && *figure == 0 && !*elision {
+	if !*all && *table == 0 && *figure == 0 {
 		flag.Usage()
 	}
 }

@@ -46,7 +46,6 @@ func main() {
 		seed    = flag.Int64("seed", 7, "base campaign seed (campaign i uses splitmix64(seed, i))")
 		workers = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
 		repeats = flag.Int("repeats", 1, "independent campaigns per firmware")
-		elide   = flag.Bool("elide", false, "drop provably-safe sanitizer checks (static safety proofs); findings are unchanged")
 		outDir  = flag.String("out", "", "save corpus and crash artifacts under this directory")
 		trace   = flag.String("trace", "", "capture per-campaign event traces and write a Chrome trace_event JSON to this file")
 		metrics = flag.Bool("metrics", false, "print merged campaign metrics and the per-phase virtual-time breakdown")
@@ -55,7 +54,7 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := exps.CampaignOptions{Execs: *execs, Seed: *seed, Workers: *workers, Repeats: *repeats, Elide: *elide,
+	opts := exps.CampaignOptions{Execs: *execs, Seed: *seed, Workers: *workers, Repeats: *repeats,
 		Trace: *trace != "", Metrics: *metrics, Timeline: *tlOut != ""}
 	var campaigns []*exps.Campaign
 	var workerStats []sched.WorkerStats

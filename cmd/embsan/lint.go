@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"embsan/internal/guest/firmware"
@@ -12,7 +11,6 @@ import (
 	"embsan/internal/isa"
 	"embsan/internal/kasm"
 	"embsan/internal/static"
-	"embsan/internal/static/absint"
 	"embsan/internal/static/rehost"
 )
 
@@ -27,23 +25,20 @@ func lintMain(args []string) {
 		imagePath = fs.String("image", "", "path to an encoded firmware image")
 		all       = fs.Bool("all", false, "lint every registry firmware (EMBSAN-C where the board supports it)")
 		selftest  = fs.Bool("selftest", false, "verify the linter catches a deliberately broken build")
-		elide     = fs.Bool("elide", false, "apply link-time SANCK elision and audit every elided probe's safety proof")
 		rehostAud = fs.Bool("rehost", false, "re-derive the MMIO map from the image and diff it against a recorded rehost profile")
 		profile   = fs.String("profile", "", "recorded rehost profile (text) for -rehost")
-		racesAud  = fs.Bool("races", false, "run the lockset/shared-state race triage and audit recorded race elisions")
+		racesAud  = fs.Bool("races", false, "run the lockset/shared-state race triage")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: embsan lint [-elide] -firmware NAME | -image FILE | -all | -selftest")
+		fmt.Fprintln(os.Stderr, "usage: embsan lint -firmware NAME | -image FILE | -all | -selftest")
 		fmt.Fprintln(os.Stderr, "       embsan lint -rehost -image FILE -profile FILE | -rehost -selftest")
-		fmt.Fprintln(os.Stderr, "       embsan lint -races -firmware NAME | -races -image FILE | -races -all | -races -selftest")
+		fmt.Fprintln(os.Stderr, "       embsan lint -races -firmware NAME | -races -image FILE | -races -all")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
 
 	if *racesAud {
 		switch {
-		case *selftest:
-			racesSelftest()
 		case *all:
 			racesAll()
 		case *fwName != "":
@@ -94,27 +89,17 @@ func lintMain(args []string) {
 		return
 	}
 
-	audit := lintImage
-	if *elide {
-		audit = auditImage
-	}
 	switch {
-	case *selftest && *elide:
-		elideSelftest()
 	case *selftest:
 		lintSelftest()
 	case *all:
-		lintAll(*elide, audit)
+		lintAll()
 	case *fwName != "":
 		fw, err := firmware.Build(*fwName)
 		if err != nil {
 			fatal(err)
 		}
-		img := fw.Image
-		if *elide {
-			img = elideImage(img)
-		}
-		exitCode(audit(img))
+		exitCode(lintImage(fw.Image))
 	case *imagePath != "":
 		raw, err := os.ReadFile(*imagePath)
 		if err != nil {
@@ -124,7 +109,7 @@ func lintMain(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		exitCode(audit(img))
+		exitCode(lintImage(img))
 	default:
 		fs.Usage()
 		os.Exit(2)
@@ -233,9 +218,7 @@ func rehostSelftest() {
 
 // lintAll audits every registry firmware, rebuilt as EMBSAN-C when the
 // board is open-source; the closed TP-Link image is linted as shipped.
-// With elide, each EMBSAN-C image is first put through the link-time
-// elision pass, so the audit exercises the proofs actually deployed.
-func lintAll(elide bool, audit func(*kasm.Image) int) {
+func lintAll() {
 	bad := 0
 	for _, name := range firmware.Names {
 		fw, err := firmware.BuildVariant(name, kasm.SanEmbsanC)
@@ -246,51 +229,9 @@ func lintAll(elide bool, audit func(*kasm.Image) int) {
 				fatal(err)
 			}
 		}
-		img := fw.Image
-		if elide {
-			img = elideImage(img)
-		}
-		bad += audit(img)
+		bad += lintImage(fw.Image)
 	}
 	exitCode(bad)
-}
-
-// elideImage applies the link-time SANCK elision to an EMBSAN-C image;
-// other builds pass through unchanged (they have no probes to drop).
-func elideImage(img *kasm.Image) *kasm.Image {
-	if img.Meta.Sanitize != kasm.SanEmbsanC || img.Stripped {
-		return img
-	}
-	an, err := static.Analyze(img)
-	if err != nil {
-		fatal(err)
-	}
-	els := absint.Analyze(an, absint.Options{}).Elisions(false)
-	if len(els) == 0 {
-		return img
-	}
-	out, err := img.ElideSancks(els)
-	if err != nil {
-		fatal(err)
-	}
-	return out
-}
-
-// auditImage re-derives the safety proof behind every recorded elision and
-// prints the diagnostics; returns the count.
-func auditImage(img *kasm.Image) int {
-	diags, err := absint.Audit(img, nil)
-	if err != nil {
-		fatal(err)
-	}
-	for _, d := range diags {
-		fmt.Printf("%s: %s\n", img.Name, d)
-	}
-	if len(diags) == 0 {
-		fmt.Printf("%s: clean (%s, %s, %d elisions)\n",
-			img.Name, img.Arch, img.Meta.Sanitize, len(img.Meta.Elisions))
-	}
-	return len(diags)
 }
 
 // lintSelftest proves the audit has teeth: a clean EMBSAN-C build must lint
@@ -334,63 +275,4 @@ func lintSelftest() {
 		fatal(fmt.Errorf("selftest: broken build linted clean"))
 	}
 	fmt.Println("selftest: broken build failed as expected")
-}
-
-// elideSelftest proves the elision audit has teeth: a genuinely elided
-// EMBSAN-C build must audit clean, and the same image with one *unproven*
-// probe dropped — its elision recorded as if a proof existed — must fail.
-func elideSelftest() {
-	fw, err := firmware.BuildVariant("OpenWRT-armvirt", kasm.SanEmbsanC)
-	if err != nil {
-		fatal(err)
-	}
-	an, err := static.Analyze(fw.Image)
-	if err != nil {
-		fatal(err)
-	}
-	res := absint.Analyze(an, absint.Options{})
-	elided, err := fw.Image.ElideSancks(res.Elisions(false))
-	if err != nil {
-		fatal(err)
-	}
-	if n := auditImage(elided); n != 0 {
-		fatal(fmt.Errorf("elide selftest: honest elision produced %d diagnostics", n))
-	}
-
-	// Drop a probe the prover could NOT discharge and record it as proven.
-	var bogus kasm.Elision
-	for _, a := range res.Accesses {
-		if a.Kind != absint.ProofNone {
-			continue
-		}
-		if _, ok := elided.Meta.ElisionAt(a.PC - 4); ok {
-			continue
-		}
-		prev, ok := an.InstAt(a.PC - 4)
-		if !ok || prev.Op != isa.OpSANCK {
-			continue
-		}
-		bogus = kasm.Elision{Site: a.PC - 4, Access: a.PC, Kind: kasm.ElideGlobal, Object: "bogus"}
-		break
-	}
-	if bogus.Site == 0 {
-		fatal(fmt.Errorf("elide selftest: no unproven probe to break"))
-	}
-	broken := *elided
-	broken.Name = elided.Name + "+bogus-elision"
-	broken.Text = append([]byte(nil), elided.Text...)
-	pad, err := isa.Encode(isa.Inst{Op: isa.OpFENCE}, broken.Arch)
-	if err != nil {
-		fatal(err)
-	}
-	broken.Arch.PutWord(broken.Text[bogus.Site-broken.Base:], pad)
-	broken.Meta.Elisions = append([]kasm.Elision(nil), elided.Meta.Elisions...)
-	broken.Meta.Elisions = append(broken.Meta.Elisions, bogus)
-	sort.Slice(broken.Meta.Elisions, func(i, j int) bool {
-		return broken.Meta.Elisions[i].Site < broken.Meta.Elisions[j].Site
-	})
-	if n := auditImage(&broken); n == 0 {
-		fatal(fmt.Errorf("elide selftest: bogus elision audited clean"))
-	}
-	fmt.Println("elide selftest: bogus elision failed as expected")
 }

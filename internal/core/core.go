@@ -16,7 +16,6 @@ import (
 	"embsan/internal/probe"
 	"embsan/internal/san"
 	"embsan/internal/static"
-	"embsan/internal/static/absint"
 	"embsan/internal/static/races"
 )
 
@@ -46,7 +45,7 @@ type Config struct {
 	NoSanitizer bool
 	// NoRaceGuidance disables the static lockset guidance of the
 	// concurrency sanitizer: KCSAN samples uniformly instead of boosting
-	// unprotected sites and skipping proven-safe ones. This is the
+	// unprotected sites and never arming at proven-safe ones. This is the
 	// measurement baseline for the guided-vs-uniform benchmarks.
 	NoRaceGuidance bool
 	// NoInlineCheck leaves the in-template shadow check unarmed, so every
@@ -54,14 +53,6 @@ type Config struct {
 	// Figure 2 measures and the fast-path oracles compare against. Chaining
 	// has its own switch in Machine.
 	NoInlineCheck bool
-	// Elide applies the static safety proofs (internal/static/absint) to
-	// the deployment: EMBSAN-C images have provably-safe SANCK traps
-	// replaced by pads at link time, EMBSAN-D machines skip Mem-probe
-	// dispatch for proven access sites. When the sanitizer set includes
-	// engines sensitive to the dispatch stream itself (kcsan's sampling,
-	// ubsan's alignment checks), only device-memory proofs — which the
-	// runtime ignores before any engine runs — are applied.
-	Elide bool
 }
 
 // Instance is a prepared EMBSAN deployment: an emulated machine with the
@@ -82,23 +73,6 @@ func New(cfg Config) (*Instance, error) {
 		return nil, fmt.Errorf("core: no firmware image")
 	}
 	img := cfg.Image
-	restricted := false
-	for _, s := range cfg.Sanitizers {
-		if s == "kcsan" || s == "ubsan" {
-			restricted = true
-		}
-	}
-	if cfg.Elide && !cfg.NoSanitizer && img.Meta.Sanitize == kasm.SanEmbsanC && !img.Stripped {
-		// EMBSAN-C: rewrite provably-safe SANCK traps into pads before the
-		// machine loads the text. Proof failures degrade to no elision.
-		if an, err := static.Analyze(img); err == nil {
-			if els := absint.Analyze(an, absint.Options{}).Elisions(restricted); len(els) > 0 {
-				if elided, err := img.ElideSancks(els); err == nil {
-					img = elided
-				}
-			}
-		}
-	}
 	m, err := emu.New(img, cfg.Machine)
 	if err != nil {
 		return nil, err
@@ -187,47 +161,23 @@ func New(cfg Config) (*Instance, error) {
 	}
 	inst.Runtime = rt
 
-	var proofs san.SiteProofs
+	var raceWeights map[uint32]uint8
 	if rt.KCSANEngine() != nil && !cfg.NoRaceGuidance && !img.Stripped && len(img.Symbols) > 0 {
 		// Lockset guidance for the concurrency sanitizer: boost watchpoint
 		// arming at statically unprotected/mixed sites, never arm at proven
-		// always-protected or hart-local ones. The weights apply whether or
-		// not elision is on, so elide-on/off campaigns arm identically; the
-		// Elide mode additionally skips proven-safe sites' KCSAN dispatch
-		// outright and records the proofs in the link metadata.
+		// always-protected or hart-local ones.
 		if an, err := static.Analyze(img); err == nil {
-			rr := races.Analyze(an, races.Options{Taint: elideTaint(opts)})
-			proofs.RaceWeights = rr.SitePriorities(races.DefaultBoost)
-			if cfg.Elide {
-				if recs, pcs := rr.Elisions(); len(pcs) > 0 {
-					proofs.RaceSafe = pcs
-					cp := *img
-					cp.Meta.RaceElisions = recs
-					img = &cp
-					inst.img = img
-				}
-			}
+			rr := races.Analyze(an, races.Options{Taint: runtimeTaint(opts)})
+			raceWeights = rr.SitePriorities(races.DefaultBoost)
 		}
 	}
-
-	if cfg.Elide && img.Meta.Sanitize == kasm.SanNone && !opts.Hypercalls {
-		// EMBSAN-D: the binary carries no instrumentation metadata, so the
-		// prover's taint set — regions the runtime poisons dynamically —
-		// comes from the probed platform description instead: the heap
-		// regions plus every poisoned or allocated init range (padded for
-		// the runtime's redzones). Proven access sites then skip the
-		// delegate dispatch in the translated blocks entirely.
-		if an, err := static.Analyze(img); err == nil {
-			proofs.SafeAccess = absint.Analyze(an, absint.Options{Taint: elideTaint(opts)}).SafeAccessPCs(restricted)
-		}
-	}
-	inst.armed = rt.SetSitePolicy(proofs, !cfg.NoInlineCheck)
+	inst.armed = rt.SetSitePolicy(raceWeights, !cfg.NoInlineCheck)
 	return inst, nil
 }
 
-// elideTaint collects the address ranges an EMBSAN-D runtime may poison at
-// run time, which the static prover must treat as never provably safe.
-func elideTaint(opts san.Options) []kasm.AddrRange {
+// runtimeTaint collects the address ranges the runtime may poison at run
+// time: the probed heaps plus every poisoned or allocated init range.
+func runtimeTaint(opts san.Options) []kasm.AddrRange {
 	var taint []kasm.AddrRange
 	for _, h := range opts.Platform.Heaps {
 		taint = append(taint, kasm.AddrRange{Start: h.Start, End: h.End})

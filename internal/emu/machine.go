@@ -212,8 +212,7 @@ type Machine struct {
 type machineCounters struct {
 	tbHits, tbMisses, transInsts *obs.Counter
 	restores, restorePages       *obs.Counter
-	sanckTraps, sanckElided      *obs.Counter
-	memProbes, memElided         *obs.Counter
+	sanckTraps, memProbes        *obs.Counter
 	dispatches, chainHits        *obs.Counter
 	inlineFast, inlineSlow       *obs.Counter
 	devReads, devWrites          *obs.Counter
@@ -232,16 +231,9 @@ type Counters struct {
 	// snapshot-phase virtual work unit of the campaign phase breakdown.
 	RestorePages uint64
 
-	// Sanitizer dispatch accounting, split by instrumentation mode. The
-	// *Elided counters tally the SiteElided sites of the site policy:
-	// executed FENCE pads standing where a SANCK was dropped at link time
-	// (EMBSAN-C), and proven accesses whose Mem probe the translator
-	// skipped (EMBSAN-D). Elided counts only accumulate while the matching
-	// probe is registered, so trap+elided is comparable across runs.
-	SanckTraps  uint64 // SANCK instructions dispatched to the Sanck probe
-	SanckElided uint64 // elision pads executed in lieu of a SANCK trap
-	MemProbes   uint64 // accesses dispatched to the Mem probe
-	MemElided   uint64 // proven accesses that skipped the Mem probe
+	// Sanitizer dispatch accounting, split by instrumentation mode.
+	SanckTraps uint64 // SANCK instructions dispatched to the Sanck probe
+	MemProbes  uint64 // accesses dispatched to the Mem probe
 
 	// Fast-path accounting. Dispatches counts dispatcher entries (tbFor
 	// calls); ChainHits counts block transfers that followed a patched exit
@@ -268,9 +260,7 @@ func (c Counters) Sub(o Counters) Counters {
 		Restores:     c.Restores - o.Restores,
 		RestorePages: c.RestorePages - o.RestorePages,
 		SanckTraps:   c.SanckTraps - o.SanckTraps,
-		SanckElided:  c.SanckElided - o.SanckElided,
 		MemProbes:    c.MemProbes - o.MemProbes,
-		MemElided:    c.MemElided - o.MemElided,
 		Dispatches:   c.Dispatches - o.Dispatches,
 		ChainHits:    c.ChainHits - o.ChainHits,
 		InlineFast:   c.InlineFast - o.InlineFast,
@@ -328,9 +318,7 @@ func New(img *kasm.Image, cfg Config) (*Machine, error) {
 		restores:     m.metrics.Counter("emu.snapshot.restores"),
 		restorePages: m.metrics.Counter("emu.snapshot.restore_pages"),
 		sanckTraps:   m.metrics.Counter("emu.sanck.traps"),
-		sanckElided:  m.metrics.Counter("emu.sanck.elided"),
 		memProbes:    m.metrics.Counter("emu.mem.probes"),
-		memElided:    m.metrics.Counter("emu.mem.elided"),
 		dispatches:   m.metrics.Counter("emu.dispatch.entries"),
 		chainHits:    m.metrics.Counter("emu.chain.hits"),
 		inlineFast:   m.metrics.Counter("emu.inline.fast"),
@@ -338,6 +326,9 @@ func New(img *kasm.Image, cfg Config) (*Machine, error) {
 		devReads:     m.metrics.Counter("emu.mmio.reads"),
 		devWrites:    m.metrics.Counter("emu.mmio.writes"),
 	}
+	// Never incremented; registered because perfbench reads both by name.
+	m.metrics.Counter("emu.sanck.elided")
+	m.metrics.Counter("emu.mem.elided")
 	m.bus.ram = NewMemory(cfg.RAMSize, pageShift)
 	m.bus.devReads = m.ctr.devReads
 	m.bus.devWrites = m.ctr.devWrites
@@ -382,23 +373,21 @@ func New(img *kasm.Image, cfg Config) (*Machine, error) {
 // the latest Reseed) — the campaign identity deterministic samplers mix in.
 func (m *Machine) Seed() uint64 { return m.cfg.Seed }
 
-// Site is the sanitizer policy of one dispatch site: an access, a SANCK,
-// or a FENCE pad standing where link-time elision dropped a SANCK.
+// Site is the sanitizer policy of one dispatch site: an access or a SANCK.
 type Site uint8
 
 const (
 	SiteCheck  Site = iota // dispatch every execution to the probe
 	SiteInline             // test the shadow in the template, probe what it cannot settle
 	SiteQuiet              // count the dispatch, never call the probe
-	SiteElided             // no dispatch, counted as elided; the one state a FENCE heeds
 )
 
 // SetSitePolicy installs the per-site sanitizer policy (nil = SiteCheck
 // everywhere) and retranslates all code. The translator calls site once
-// per access, SANCK and FENCE site it translates while the matching probe
-// is installed. shadow is the sanitizer's live shadow, which SiteInline
+// per access and SANCK site it translates while the matching probe is
+// installed. shadow is the sanitizer's live shadow, which SiteInline
 // sites read on every dispatch (nil only if site never answers SiteInline).
-// That a settled or elided dispatch is unobservable is the caller's promise
+// That a settled dispatch is unobservable is the caller's promise
 // (san.Runtime).
 func (m *Machine) SetSitePolicy(shadow *Memory, site func(pc uint32) Site) {
 	m.siteShadow, m.site = shadow, site
@@ -426,9 +415,7 @@ func (m *Machine) Counters() Counters {
 		Restores:     m.ctr.restores.Value(),
 		RestorePages: m.ctr.restorePages.Value(),
 		SanckTraps:   m.ctr.sanckTraps.Value(),
-		SanckElided:  m.ctr.sanckElided.Value(),
 		MemProbes:    m.ctr.memProbes.Value(),
-		MemElided:    m.ctr.memElided.Value(),
 		Dispatches:   m.ctr.dispatches.Value(),
 		ChainHits:    m.ctr.chainHits.Value(),
 		InlineFast:   m.ctr.inlineFast.Value(),

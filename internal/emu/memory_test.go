@@ -116,6 +116,14 @@ func shadowRig(t *testing.T) *rewindRig {
 				addr := (size - 4) * san.Granularity
 				s.Poison(addr, -addr+64, codes[w]) // the end wraps to 64: writes nothing
 				s.Unpoison(addr, -addr)            // the end wraps to 0: runs to the end
+				for a := addr; a < size*san.Granularity; a += san.Granularity {
+					if g := s.Get(a); g != 0 {
+						t.Fatalf("Unpoison to 2^32 left shadow byte %#x at %#x", g, a)
+					}
+					if _, code, ok := s.Check(a, san.Granularity); !ok {
+						t.Fatalf("Unpoison to 2^32 left %#x unaddressable (%s)", a, san.CodeName(code))
+					}
+				}
 			}
 			return 1
 		},

@@ -43,7 +43,6 @@ const (
 	stepMem stepFlags = 1 << iota
 	stepSanck
 	stepHook
-	stepElided // SiteElided: no dispatch, counted as elided by opcode class
 	stepInline // SiteInline: the in-template shadow check guards the delegate
 	stepQuiet  // SiteQuiet (with stepInline): the delegate never acts
 )
@@ -168,10 +167,6 @@ func (m *Machine) translate(pc uint32) (*tb, FaultKind) {
 			if m.probes.Sanck != nil {
 				fl = m.siteFlags(cur, stepSanck)
 			}
-		default:
-			if inst.Op == isa.OpFENCE && m.probes.Sanck != nil && m.site != nil && m.site(cur) == SiteElided {
-				fl = stepElided
-			}
 		}
 		if _, hooked := m.pcHooks[cur]; hooked {
 			fl |= stepHook
@@ -214,8 +209,6 @@ func (m *Machine) siteFlags(pc uint32, probe stepFlags) stepFlags {
 		return probe | stepInline
 	case SiteQuiet:
 		return probe | stepInline | stepQuiet
-	case SiteElided:
-		return stepElided
 	}
 	return probe
 }
@@ -506,8 +499,6 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 				if ex := m.fireMem(h, s.pc, addr, size, false, in.Op == isa.OpLRW, s.flags); ex != tbDone {
 					return ex
 				}
-			} else if s.flags&stepElided != 0 {
-				m.ctr.memElided.Inc()
 			}
 			v, f := m.bus.read(addr, size)
 			if f != FaultNone {
@@ -542,8 +533,6 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 				if ex := m.fireMem(h, s.pc, addr, size, true, in.Op == isa.OpSCW, s.flags); ex != tbDone {
 					return ex
 				}
-			} else if s.flags&stepElided != 0 {
-				m.ctr.memElided.Inc()
 			}
 			if f := m.write(addr, size, r[in.Rs2]); f != FaultNone {
 				m.raiseFault(f, h, s.pc, addr)
@@ -562,8 +551,6 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 				if ex := m.fireMem(h, s.pc, addr, 4, true, true, s.flags); ex != tbDone {
 					return ex
 				}
-			} else if s.flags&stepElided != 0 {
-				m.ctr.memElided.Inc()
 			}
 			old, f := m.bus.read(addr, 4)
 			if f != FaultNone {
@@ -659,10 +646,7 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 			h.PC = s.pc + 4
 			return tbYield
 		case isa.OpFENCE:
-			// ordering no-op; an elision pad counts the trap it replaced
-			if s.flags&stepElided != 0 {
-				m.ctr.sanckElided.Inc()
-			}
+			// ordering no-op
 		case isa.OpCSRR:
 			var v uint32
 			switch in.Imm {
@@ -689,9 +673,6 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 			}
 
 		case isa.OpSANCK:
-			if s.flags&stepElided != 0 {
-				m.ctr.sanckElided.Inc()
-			}
 			if s.flags&stepSanck != 0 {
 				m.ctr.sanckTraps.Inc()
 				addr := r[in.Rs1] + uint32(in.Imm)

@@ -30,12 +30,6 @@ type CampaignOptions struct {
 	// independent derived seeds — the multi-campaign workloads of the
 	// throughput experiments.
 	Repeats int
-	// Elide applies the static safety proofs to the deployment
-	// (core.Config.Elide): provably-safe SANCK traps are dropped from
-	// EMBSAN-C images and proven access sites skip delegate dispatch on
-	// EMBSAN-D machines. Bug findings are unchanged; only the trap/probe
-	// counters move.
-	Elide bool
 	// Trace captures a per-campaign obs event stream (Campaign.Trace).
 	// Campaign outcomes are unchanged — each job's stream is a pure function
 	// of its index, so determinism across worker counts holds with tracing
@@ -159,7 +153,7 @@ func sanitizersFor(fw *firmware.Firmware) []string {
 // on the base seed, so every worker warming the same firmware reaches the
 // bit-identical snapshot. noFast asks for the pre-fast-path engine: no
 // chaining, no inline shadow check.
-func warmUp(fw *firmware.Firmware, baseSeed int64, elide, noFast, noGuide bool) (*warmed, error) {
+func warmUp(fw *firmware.Firmware, baseSeed int64, noFast, noGuide bool) (*warmed, error) {
 	// Start from the firmware's own machine config (rehosted images carry
 	// their synthesized bridge device there) and layer the campaign tuning
 	// on top.
@@ -173,7 +167,6 @@ func warmUp(fw *firmware.Firmware, baseSeed int64, elide, noFast, noGuide bool) 
 		StopOnReport:   true,
 		Machine:        mcfg,
 		KCSAN:          san.KCSANConfig{SampleInterval: 13, Delay: 600},
-		Elide:          elide,
 		NoRaceGuidance: noGuide,
 		NoInlineCheck:  noFast,
 	})
@@ -315,7 +308,7 @@ func RunCampaign(fw *firmware.Firmware, opts CampaignOptions) (*Campaign, error)
 	if opts.Execs == 0 {
 		opts.Execs = 30000
 	}
-	w, err := warmUp(fw, opts.Seed, opts.Elide, opts.NoFastPaths, false)
+	w, err := warmUp(fw, opts.Seed, opts.NoFastPaths, false)
 	if err != nil {
 		return nil, err
 	}
@@ -358,12 +351,9 @@ func RunCampaignSet(fws []*firmware.Firmware, opts CampaignOptions) (*CampaignRu
 	out := make([]*Campaign, n)
 	ws, err := sched.Run(sched.Options{Workers: opts.Workers}, n, func(w *sched.Worker, i int) error {
 		fw := fws[i/opts.Repeats]
-		// Elided and non-elided deployments of the same firmware must not
-		// share a pooled machine: their texts and probe sets differ.
+		// Deployments of the same firmware share a pooled machine only when
+		// their engines match.
 		key := fw.Name
-		if opts.Elide {
-			key += "+elide"
-		}
 		if opts.NoFastPaths {
 			key += "+nofp"
 		}
@@ -374,7 +364,7 @@ func RunCampaignSet(fws []*firmware.Firmware, opts CampaignOptions) (*CampaignRu
 			key += "+forensics"
 		}
 		wm, err := sched.Pooled(w, key, func() (*warmed, error) {
-			return warmUp(fw, opts.Seed, opts.Elide, opts.NoFastPaths, false)
+			return warmUp(fw, opts.Seed, opts.NoFastPaths, false)
 		})
 		if err != nil {
 			return err

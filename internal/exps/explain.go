@@ -28,9 +28,6 @@ type ExplainOptions struct {
 	Seed int64
 	// Window is the forensic half-window in instructions (0 = default).
 	Window uint64
-	// Elide matches the campaign's CampaignOptions.Elide so the deployment
-	// under explain is the deployment that reported.
-	Elide bool
 }
 
 // ExplainResult is one explained report with its rendered artifacts.
@@ -51,7 +48,7 @@ type ExplainResult struct {
 // byte-identical no matter how the campaign that surfaced the bug was
 // scheduled.
 func ExplainReport(fw *firmware.Firmware, opts ExplainOptions) (*ExplainResult, error) {
-	w, err := warmUp(fw, opts.Seed, opts.Elide, false, false)
+	w, err := warmUp(fw, opts.Seed, false, false)
 	if err != nil {
 		return nil, err
 	}

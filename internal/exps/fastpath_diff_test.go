@@ -57,11 +57,11 @@ func TestFastPathLockstepOracle(t *testing.T) {
 		"OpenHarmony-stm32mp1", "OpenHarmony-rk3566"} {
 		t.Run(name, func(t *testing.T) {
 			fw := buildSubset(t, name)[0]
-			fast, err := warmUp(fw, 7, false, false, false)
+			fast, err := warmUp(fw, 7, false, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			slow, err := warmUp(fw, 7, false, true, false)
+			slow, err := warmUp(fw, 7, true, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func TestFastPathInlineEngages(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fw := range fws {
-		w, err := warmUp(fw, 7, false, false, false)
+		w, err := warmUp(fw, 7, false, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,8 +163,7 @@ func TestFastPathCampaignDiffSmoke(t *testing.T) {
 }
 
 // TestFastPathCampaignTablesIdentical is the registry-wide end-to-end
-// oracle, the fast-path analogue of TestElideCampaignTablesIdentical: the
-// full Table 3/4 campaigns with the fast paths on must reproduce the slow
+// oracle: the full Table 3/4 campaigns with the fast paths on must reproduce the slow
 // engine's tables byte for byte — same 41 bugs, same executions, same
 // coverage.
 func TestFastPathCampaignTablesIdentical(t *testing.T) {

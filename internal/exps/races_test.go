@@ -82,7 +82,7 @@ func TestRaceGuidedCampaignDeterministicAcrossWorkers(t *testing.T) {
 // race report.
 func raceCrashes(t *testing.T, fw *firmware.Firmware, execs int, seed int64, noGuide bool) []*fuzz.Crash {
 	t.Helper()
-	w, err := warmUp(fw, seed, false, false, noGuide)
+	w, err := warmUp(fw, seed, false, noGuide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRaceGuidanceNoFalseElision(t *testing.T) {
 	}
 	for addr := range uniform {
 		if !guided[addr] {
-			t.Errorf("uniform caught a race at %#x but guided did not — a real race was elided", addr)
+			t.Errorf("uniform caught a race at %#x but guided did not — guidance hid a real race", addr)
 		}
 	}
 }

@@ -249,8 +249,6 @@ func (f *Fuzzer) Run() *Result {
 			s.Snapshot = d.RestorePages
 			s.ChainHits = d.ChainHits
 			s.Dispatches = d.Dispatches
-			s.ChecksElided = d.SanckElided + d.MemElided
-			s.ChecksRun = d.SanckTraps + d.MemProbes
 			if inst.Runtime != nil && inst.Runtime.KCSANEngine() != nil {
 				evals, armed := inst.Runtime.KCSANEngine().Sampling()
 				s.KCSANEvals = evals - baseEvals

@@ -126,24 +126,6 @@ type Metadata struct {
 	// internals, the sanitizer runtime itself). The static lint consults
 	// them: memory accesses inside these ranges legitimately carry no SANCK.
 	NoSanRegions []AddrRange
-
-	// Elisions records every SANCK dropped by the link-time static-proof
-	// pass (Image.ElideSancks), sorted by Site. `embsan lint -elide`
-	// re-derives the proofs and audits this list.
-	Elisions []Elision
-
-	// RaceElisions records every access the lockset analysis proved
-	// always-protected or hart-local, i.e. exempt from KCSAN sampling.
-	// `embsan lint -races` re-derives the proofs and audits this list.
-	RaceElisions []RaceElision
-}
-
-// RaceElision is one access site exempt from concurrency sampling by the
-// static lockset proof.
-type RaceElision struct {
-	Site   uint32 // pc of the access instruction
-	Kind   string // "protected" or "hart-local"
-	Object string // the proven-safe object the access targets
 }
 
 // InNoSan reports whether addr lies in a recorded NoSan region.

@@ -129,9 +129,8 @@ func (p *Profile) Folded(funcs []FuncRange) string {
 	return b.String()
 }
 
-// DispatchSite is one must-check access site: a PC whose sanitizer dispatch
-// the static prover did not (or could not) elide, ranked by how often it
-// fired.
+// DispatchSite is one access site whose sanitizer dispatch fired, ranked by
+// how often it fired.
 type DispatchSite struct {
 	PC    uint32
 	Fn    string // containing function + offset, "[unknown]" when unattributed
@@ -139,9 +138,8 @@ type DispatchSite struct {
 }
 
 // DispatchSites returns every dispatching site ranked by descending count,
-// ties broken by ascending PC. Sites that appear here at all are the
-// residue the elision pass left behind — the data PartiSan-style
-// partitioning decisions would be driven by.
+// ties broken by ascending PC — the data PartiSan-style partitioning
+// decisions would be driven by.
 func (p *Profile) DispatchSites(funcs []FuncRange) []DispatchSite {
 	out := make([]DispatchSite, 0, len(p.disp))
 	for pc, n := range p.disp {

@@ -2,8 +2,8 @@
 // a fixed metric vector sampled every K retired guest instructions on the
 // campaign's cumulative virtual clock. Where internal/obs answers "what
 // happened at instruction N", timeline answers "how did the campaign
-// evolve" — coverage growth, corpus size, dispatch mix, fast-path and
-// elision rates over virtual time.
+// evolve" — coverage growth, corpus size, dispatch mix, chain-hit and
+// KCSAN arming rates over virtual time.
 //
 // The design constraints are the obs package's, inherited verbatim:
 //
@@ -57,11 +57,6 @@ type Sample struct {
 	ChainHits  uint64
 	Dispatches uint64
 
-	// Elision accounting: sanitizer checks skipped by static safety
-	// proofs vs checks dispatched (elision% = Elided/(Elided+Checks)).
-	ChecksElided uint64
-	ChecksRun    uint64
-
 	// KCSAN sampling: accesses that reached the arming decision and
 	// watchpoints actually armed (arming rate = Armed/Evals).
 	KCSANEvals uint64
@@ -70,7 +65,7 @@ type Sample struct {
 
 // sampleWords is the number of u64 words in the fixed vector (codec.go
 // depends on it; extending Sample means bumping the EMTL version).
-const sampleWords = 15
+const sampleWords = 13
 
 // ChainHitRate returns the fraction of block transfers resolved by an
 // exit chain; ok is false when no transfers were recorded.
@@ -80,16 +75,6 @@ func (s Sample) ChainHitRate() (float64, bool) {
 		return 0, false
 	}
 	return float64(s.ChainHits) / float64(t), true
-}
-
-// ElisionRate returns the fraction of sanitizer checks elided by static
-// proofs; ok is false when no checks were seen.
-func (s Sample) ElisionRate() (float64, bool) {
-	t := s.ChecksElided + s.ChecksRun
-	if t == 0 {
-		return 0, false
-	}
-	return float64(s.ChecksElided) / float64(t), true
 }
 
 // ArmingRate returns the fraction of KCSAN sampling decisions that armed

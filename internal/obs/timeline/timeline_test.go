@@ -23,7 +23,6 @@ func mkSamples(n, grow int, interval uint64) []Sample {
 			Translate: uint64(i) * 3, Execute: uint64(i+1) * interval,
 			Sanitize: uint64(i) * 2, Snapshot: uint64(i),
 			ChainHits: uint64(i) * 5, Dispatches: uint64(i) + 1,
-			ChecksElided: uint64(i), ChecksRun: uint64(i) * 4,
 			KCSANEvals: uint64(i) * 9, KCSANArmed: uint64(i),
 		}
 	}
@@ -259,12 +258,9 @@ func TestLiveHooks(t *testing.T) {
 }
 
 func TestRates(t *testing.T) {
-	s := Sample{ChainHits: 3, Dispatches: 1, ChecksElided: 1, ChecksRun: 3, KCSANEvals: 8, KCSANArmed: 2}
+	s := Sample{ChainHits: 3, Dispatches: 1, KCSANEvals: 8, KCSANArmed: 2}
 	if r, ok := s.ChainHitRate(); !ok || r != 0.75 {
 		t.Fatalf("ChainHitRate = %v, %v", r, ok)
-	}
-	if r, ok := s.ElisionRate(); !ok || r != 0.25 {
-		t.Fatalf("ElisionRate = %v, %v", r, ok)
 	}
 	if r, ok := s.ArmingRate(); !ok || r != 0.25 {
 		t.Fatalf("ArmingRate = %v, %v", r, ok)
@@ -272,9 +268,6 @@ func TestRates(t *testing.T) {
 	var zero Sample
 	if _, ok := zero.ChainHitRate(); ok {
 		t.Fatal("zero ChainHitRate ok")
-	}
-	if _, ok := zero.ElisionRate(); ok {
-		t.Fatal("zero ElisionRate ok")
 	}
 	if _, ok := zero.ArmingRate(); ok {
 		t.Fatal("zero ArmingRate ok")
@@ -361,6 +354,24 @@ func TestDecodeRejects(t *testing.T) {
 	b[len(b)-tlMarkSize] = 0
 	if _, err := Decode(b); err == nil {
 		t.Error("decode accepted zero mark kind")
+	}
+}
+
+// TestDecodeRejectsVersion1: version-1 artefacts carried two more sample
+// words (elided and run sanitizer checks); version 2 rejects them, the
+// empty one included, instead of misreading their samples.
+func TestDecodeRejectsVersion1(t *testing.T) {
+	v1 := func(samples int) []byte {
+		b := []byte("EMTL\x01\x00\x00\x00\x01\x00\x00\x00")
+		job := make([]byte, tlJobHeaderSize+samples*15*8)
+		job[4] = 1 // interval
+		job[12] = byte(samples)
+		return append(b, job...)
+	}
+	for _, samples := range []int{0, 1, 3} {
+		if _, err := Decode(v1(samples)); err == nil || !strings.Contains(err.Error(), "version 1") {
+			t.Errorf("version-1 artefact with %d samples: err = %v, want an unsupported-version error", samples, err)
+		}
 	}
 }
 

@@ -78,7 +78,7 @@ sanitizer kasan {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if !rt.SetSitePolicy(SiteProofs{}, true) {
+	if !rt.SetSitePolicy(nil, true) {
 		tb.Fatal("pure-KASAN runtime refused to arm")
 	}
 	if r := m.Run(10_000); r != emu.StopExit || !rt.Enabled() {

@@ -69,9 +69,9 @@ func NewKCSAN(cfg KCSANConfig, read func(addr, size uint32) (uint32, bool)) *KCS
 // machine's retired-instruction counter and seed reads the live campaign
 // seed. With these and the static site weights wired, every arming
 // decision is a pure function of (seed, virtual clock, site): it does not
-// depend on how many accesses were sampled before this one, so skipping a
-// proven-safe site cannot shift any other site's decisions — the property
-// the elision and worker-count byte-identity oracles rely on.
+// depend on how many accesses were sampled before this one, so a site that
+// never arms cannot shift any other site's decisions — the property the
+// worker-count byte-identity oracle relies on.
 func (k *KCSAN) SetGuidance(clock, seed func() uint64) {
 	k.clock = clock
 	k.seed = seed

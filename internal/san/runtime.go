@@ -55,14 +55,9 @@ type Runtime struct {
 	enabled  bool
 	suppress []dsl.Region
 
-	// The site policy (SetSitePolicy): the elided sites, whether the
-	// in-template check guards the rest, and the dispatch PCs for which
-	// KCSAN is not consulted at all. Skipping those is safe behaviourally:
-	// they carry arming weight 0 (so they never arm in any mode) and the
-	// proof rules out the cross-hart overlaps phase 2 could observe.
-	elided   map[uint32]bool
-	armed    bool
-	raceSafe map[uint32]bool
+	// armed: the site policy (SetSitePolicy) lets the in-template check
+	// guard every unsuppressed site.
+	armed bool
 
 	pending map[pendKey][]pendingAlloc
 
@@ -179,7 +174,7 @@ func Attach(m *emu.Machine, opts Options) (*Runtime, error) {
 		}
 	}
 	m.SetProbes(probes)
-	rt.SetSitePolicy(SiteProofs{}, false)
+	rt.SetSitePolicy(nil, false)
 
 	// Function interception (EMBSAN-D): the Prober-discovered allocator
 	// entry and exit points become PC hooks.
@@ -410,9 +405,6 @@ func (rt *Runtime) onMem(ev *emu.MemEvent) {
 		}
 	}
 	if rt.kcsan != nil {
-		if rt.raceSafe[ev.PC] {
-			return
-		}
 		stall, r := rt.kcsan.OnAccess(ev.Addr, ev.Size, ev.Write, ev.PC, ev.Hart, ev.Atomic)
 		if r != nil {
 			rt.report(r)
@@ -584,43 +576,19 @@ func (rt *Runtime) KASANEngine() *KASAN { return rt.kasan }
 // KCSANEngine exposes the KCSAN engine (nil when not configured).
 func (rt *Runtime) KCSANEngine() *KCSAN { return rt.kcsan }
 
-// SiteProofs are the static proofs a deployment hands the site policy.
-type SiteProofs struct {
-	// SafeAccess lists access PCs the static prover showed can never touch
-	// invalid or poisoned memory; their dispatch is elided (EMBSAN-D).
-	SafeAccess []uint32
-	// RaceWeights is the lockset analysis' KCSAN arming weight per
-	// dispatch PC: 0 = never armed, above 1 = preferential, absent = 1.
-	RaceWeights map[uint32]uint8
-	// RaceSafe lists dispatch PCs proven race-free: KCSAN is skipped
-	// there outright. Each must weigh 0 in RaceWeights.
-	RaceSafe []uint32
-}
-
 // SetSitePolicy installs the runtime's per-site policy on the machine,
 // retranslating all code, and reports whether the in-template shadow check
-// is armed. The image's FENCE pads and the SafeAccess sites are elided.
-// With inline set, every other site is armed unless skipping a clean
+// is armed. raceWeights is the lockset analysis' KCSAN arming weight per
+// dispatch PC: 0 = never armed, above 1 = preferential, absent = 1.
+// With inline set, every site is armed unless skipping a clean
 // dispatch would be observable: KCSAN samples watchpoints statefully on
 // every access, UBSAN reports misalignment on perfectly addressable memory,
 // and without KASAN there is no shadow to test. For pure KASAN, onMem is a
 // no-op on every access the template settles, and at suppressed PCs it
 // returns before any engine runs, so those sites are quiet.
-func (rt *Runtime) SetSitePolicy(p SiteProofs, inline bool) (armed bool) {
-	els := rt.m.Image().Meta.Elisions
-	rt.elided = make(map[uint32]bool, len(els)+len(p.SafeAccess))
-	for _, e := range els {
-		rt.elided[e.Site] = true
-	}
-	for _, pc := range p.SafeAccess {
-		rt.elided[pc] = true
-	}
-	rt.raceSafe = make(map[uint32]bool, len(p.RaceSafe))
-	for _, pc := range p.RaceSafe {
-		rt.raceSafe[pc] = true
-	}
+func (rt *Runtime) SetSitePolicy(raceWeights map[uint32]uint8, inline bool) (armed bool) {
 	if rt.kcsan != nil {
-		rt.kcsan.weights = p.RaceWeights
+		rt.kcsan.weights = raceWeights
 	}
 	rt.armed = inline && rt.kasan != nil && rt.kcsan == nil && !rt.ubsan
 	var shadow *emu.Memory
@@ -634,8 +602,6 @@ func (rt *Runtime) SetSitePolicy(p SiteProofs, inline bool) (armed bool) {
 // site is the policy the translator asks once per dispatch site.
 func (rt *Runtime) site(pc uint32) emu.Site {
 	switch {
-	case rt.elided[pc]:
-		return emu.SiteElided
 	case !rt.armed:
 		return emu.SiteCheck
 	case rt.suppressed(pc):

@@ -165,6 +165,8 @@ func (s *Shadow) Poison(addr, size uint32, code byte) {
 
 // Unpoison marks [addr, addr+size) addressable. A trailing partial granule
 // records the number of valid bytes, enabling sub-granule redzone checks.
+// As in Poison, a range that ends exactly at 2^32 runs to the end of
+// coverage, and one whose end wraps further writes nothing.
 func (s *Shadow) Unpoison(addr, size uint32) {
 	if size == 0 {
 		return
@@ -172,13 +174,12 @@ func (s *Shadow) Unpoison(addr, size uint32) {
 	if s.trace != nil {
 		s.trace.Emit(obs.Event{ICnt: s.clock(), Addr: addr, Arg: size, Kind: obs.EvUnpoison})
 	}
-	end := addr + size
+	end := uint64(addr) + uint64(size)
 	first := addr / Granularity
-	stop := s.markWritten(first, (end-1)/Granularity)
+	stop := s.markWritten(first, uint32(end-1)/Granularity)
 	for g := first; g < stop; g++ {
-		gStart := g * Granularity
-		gEnd := gStart + Granularity
-		if gEnd <= end {
+		gStart := uint64(g) * Granularity
+		if gStart+Granularity <= end {
 			s.bytes[g] = 0
 			continue
 		}

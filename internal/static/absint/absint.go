@@ -6,15 +6,9 @@
 // range is inside a known object on every execution, away from redzones —
 // or must-check.
 //
-// Three consumers sit on top of it:
-//
-//   - the link-time EMBSAN-C pass (kasm.Image.ElideSancks) drops the SANCK
-//     trap in front of each proven access;
-//   - the EMBSAN-D engine (san.SiteProofs.SafeAccess, elided by the
-//     runtime's site policy) specializes translation blocks to skip
-//     delegate dispatch for proven ops;
-//   - `embsan lint -elide` re-derives the proofs and audits every recorded
-//     elision (Audit).
+// Two readers consume the classification: the campaign stats' `prove`
+// column (fuzz.Stats.ProvenAccesses) and the benchmark's per-image proof
+// tally (Stats).
 //
 // Soundness rests on the same assumptions the rest of the toolchain already
 // makes: indirect control transfers only target recovered entries (address
@@ -89,11 +83,6 @@ type Stats struct {
 
 // Options tunes an analysis run.
 type Options struct {
-	// Taint lists address ranges that must never back a global proof:
-	// heap arenas the runtime poisons, regions covered by recorded init
-	// poison operations. Objects overlapping a tainted range (including
-	// their redzones) are ineligible.
-	Taint []kasm.AddrRange
 	// MaxIters caps the fixpoint sweeps per function (safety valve; the
 	// widening rule converges far earlier). A function that fails to
 	// converge gets no proofs. Defaults to 50 + 10·blocks.
@@ -104,8 +93,6 @@ type Options struct {
 type Result struct {
 	Accesses []Access
 	Stats    Stats
-
-	an *static.Analysis
 }
 
 // At returns the classification of the access at pc.
@@ -513,7 +500,7 @@ func Analyze(an *static.Analysis, opts Options) *Result {
 		az.analyzeFunc(f, proofs)
 	}
 
-	res := &Result{an: an}
+	res := &Result{}
 	for pc := az.img.Base; pc < az.img.TextEnd(); pc += 4 {
 		in, ok := an.InstAt(pc)
 		if !ok || !isAccessOp(in.Op) {
@@ -560,9 +547,8 @@ func isAccessOp(op isa.Op) bool {
 }
 
 // buildObjects collects named globals from the symbol table, overlaying
-// redzone widths from the EMBSAN-C metadata, and marks objects overlapping
-// caller-supplied taint ranges ineligible. Stripped images have no symbols,
-// so no global proofs — exactly the D-closed degradation the paper expects.
+// redzone widths from the EMBSAN-C metadata. Stripped images have no
+// symbols, so no global proofs — exactly the D-closed degradation the paper expects.
 func (az *analyzer) buildObjects() {
 	rz := map[uint32]uint32{}
 	for _, g := range az.img.Meta.Globals {
@@ -581,15 +567,6 @@ func (az *analyzer) buildObjects() {
 		})
 	}
 	sort.Slice(az.objs, func(i, j int) bool { return az.objs[i].addr < az.objs[j].addr })
-	for i := range az.objs {
-		o := &az.objs[i]
-		lo, hi := o.footprint()
-		for _, t := range az.opts.Taint {
-			if int64(t.Start) < hi && int64(t.End) > lo {
-				o.eligible = false
-			}
-		}
-	}
 }
 
 // scanFunctions records which functions contain sanitizer-state hypercalls.

@@ -192,33 +192,6 @@ func TestStrippedImageDegrades(t *testing.T) {
 	}
 }
 
-// TestTaintDisqualifiesObjects: an object overlapping a caller-supplied
-// taint range (a heap arena, an init poison) must never back a proof.
-func TestTaintDisqualifiesObjects(t *testing.T) {
-	img := buildProofMini(t, kasm.SanNone)
-	an, err := static.Analyze(img)
-	if err != nil {
-		t.Fatalf("analyze: %v", err)
-	}
-	sym, ok := img.Lookup("counter")
-	if !ok {
-		t.Fatalf("counter missing")
-	}
-	res := absint.Analyze(an, absint.Options{
-		Taint: []kasm.AddrRange{{Start: sym.Addr, End: sym.Addr + sym.Size}},
-	})
-	for _, a := range funcAccesses(t, img, res, "globals") {
-		if a.Kind == absint.ProofGlobal {
-			t.Fatalf("tainted counter still proven at %#x", a.PC)
-		}
-	}
-	// The untainted arr proofs must survive.
-	loop := funcAccesses(t, img, res, "loop")
-	if loop[1].Kind != absint.ProofGlobal {
-		t.Fatalf("untainted arr lost its proof: %+v", loop[1])
-	}
-}
-
 // TestDeterminism: two full recovery+analysis runs must agree exactly.
 func TestDeterminism(t *testing.T) {
 	img := buildProofMini(t, kasm.SanEmbsanC)

@@ -120,14 +120,6 @@ func lintText(a *Analysis, report func(string, uint32, string, ...any)) {
 			prev, pok := a.InstAt(pc - 4)
 			switch {
 			case !pok || prev.Op != isa.OpSANCK:
-				// A FENCE pad at a recorded elision site is a probe the
-				// link-time prover dropped; `embsan lint -elide` audits
-				// the proof behind it.
-				if pok && prev.Op == isa.OpFENCE {
-					if e, ok := img.Meta.ElisionAt(pc - 4); ok && e.Access == pc {
-						continue
-					}
-				}
 				report(RuleSanckCoverage, pc, "%s has no hypercall probe",
 					isa.Disasm(in, pc))
 			case prev.Rd != want || prev.Rs1 != in.Rs1 || prev.Imm != accessOff(in):

@@ -2,10 +2,8 @@ package races
 
 import (
 	"fmt"
-	"sort"
 
 	"embsan/internal/isa"
-	"embsan/internal/kasm"
 )
 
 // eventPCs returns the pcs the sanitizer runtime will see for the access at
@@ -23,8 +21,6 @@ func (r *Result) eventPCs(pc uint32) []uint32 {
 // unprotected/mixed objects get the boost weight, accesses of proven
 // always-protected or hart-local objects get weight 0 (never armed).
 // Unresolved accesses stay at the default weight 1 (absent from the map).
-// The map is applied in guided deployments regardless of elision mode, so
-// elide-on and elide-off campaigns arm identically.
 func (r *Result) SitePriorities(boost uint8) map[uint32]uint8 {
 	if boost == 0 {
 		boost = DefaultBoost
@@ -47,60 +43,6 @@ func (r *Result) SitePriorities(boost uint8) map[uint32]uint8 {
 		}
 	}
 	return prio
-}
-
-// Elisions returns the accesses safe to skip KCSAN processing outright
-// (including the cross-hart observation phase), as link-metadata records
-// plus the event-pc set the runtime keys its skip table on.
-//
-// Always-protected objects qualify unconditionally: mutual exclusion makes
-// temporal overlap with any resolved access impossible (unresolved-pointer
-// aliasing is an assumed-out boundary, checked empirically by the elide
-// byte-identity oracle). Hart-local objects additionally require that no
-// unresolved access can execute on a different hart than the object's —
-// otherwise an aliasing watchpoint armed elsewhere could go unobserved.
-func (r *Result) Elisions() ([]kasm.RaceElision, []uint32) {
-	var recs []kasm.RaceElision
-	var pcs []uint32
-	for _, o := range r.Objects {
-		if !r.elidable(o) {
-			continue
-		}
-		for _, ai := range o.Accesses {
-			acc := &r.Accesses[ai]
-			recs = append(recs, kasm.RaceElision{
-				Site: acc.PC, Kind: o.Class.String(), Object: o.Name,
-			})
-			pcs = append(pcs, r.eventPCs(acc.PC)...)
-		}
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Site < recs[j].Site })
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	return recs, pcs
-}
-
-func (r *Result) elidable(o *Object) bool {
-	switch o.Class {
-	case ClassProtected:
-		return true
-	case ClassHartLocal:
-		if len(o.Accesses) == 0 {
-			return false
-		}
-		objHarts := map[int]bool{}
-		for _, ai := range o.Accesses {
-			for _, h := range r.Accesses[ai].Harts {
-				objHarts[h] = true
-			}
-		}
-		for _, h := range r.UnresolvedHarts {
-			if h == -1 || !objHarts[h] {
-				return false
-			}
-		}
-		return true
-	}
-	return false
 }
 
 // Stats summarises the analysis for audits and lint output.
@@ -154,36 +96,4 @@ func (r *Result) describeAccess(idx int, o *Object) string {
 		off = fmt.Sprintf("+%#x", acc.Off)
 	}
 	return fmt.Sprintf("%s%s @ %#x (%s)", rw, off, acc.PC, acc.Func)
-}
-
-// Audit re-derives the lockset proofs and checks every recorded race
-// elision against them: the analysis must be deterministic across runs and
-// every metadata record must still be provable. Returns the re-derived
-// result and the first inconsistency found.
-func Audit(r *Result, again *Result, meta []kasm.RaceElision) error {
-	recs, _ := r.Elisions()
-	recs2, _ := again.Elisions()
-	if len(recs) != len(recs2) {
-		return fmt.Errorf("races: nondeterministic analysis: %d vs %d elisions", len(recs), len(recs2))
-	}
-	for i := range recs {
-		if recs[i] != recs2[i] {
-			return fmt.Errorf("races: nondeterministic analysis at site %#x", recs[i].Site)
-		}
-	}
-	derived := map[uint32]kasm.RaceElision{}
-	for _, e := range recs {
-		derived[e.Site] = e
-	}
-	for _, e := range meta {
-		d, ok := derived[e.Site]
-		if !ok {
-			return fmt.Errorf("races: recorded elision at %#x (%s %s) is not re-derivable", e.Site, e.Kind, e.Object)
-		}
-		if d != e {
-			return fmt.Errorf("races: recorded elision at %#x disagrees with proof: have %s %s, want %s %s",
-				e.Site, e.Kind, e.Object, d.Kind, d.Object)
-		}
-	}
-	return nil
 }

@@ -11,14 +11,13 @@
 // intervals with disjoint locksets, reachable from different harts) are
 // emitted symbol-addressed.
 //
-// Three consumers sit on top of it: the KCSAN watchpoint priority map
-// (san.SiteProofs.RaceWeights — weight 0 at proven-safe sites, boosted
-// weights at racy ones), the concurrency-elision record in link metadata
-// (kasm.Metadata.RaceElisions, skipped outright by the sanitizer runtime
-// through san.SiteProofs.RaceSafe), and the `embsan lint -races` audit.
+// Two consumers sit on top of it: the KCSAN watchpoint priority map
+// (SitePriorities, installed by san.Runtime.SetSitePolicy — weight 0 at
+// proven-safe sites, boosted weights at racy ones) and the
+// `embsan lint -races` triage.
 //
 // Known unsoundness boundaries (documented in docs/STATIC.md): unresolved
-// pointer accesses are never paired and never elided, but they are assumed
+// pointer accesses are never paired, but they are assumed
 // not to alias lock-protected objects; frame slots are assumed
 // single-assignment per offset within a function; callees are assumed not
 // to write the caller's frame except through passed pointers; indirect
@@ -116,10 +115,8 @@ type Result struct {
 	Pairs    []Pair
 
 	// Unresolved counts reachable accesses whose target could not be
-	// resolved to an object; UnresolvedHarts is the union of hart ids that
-	// can execute one (the hart-local elision guard).
-	Unresolved      int
-	UnresolvedHarts []int
+	// resolved to an object.
+	Unresolved int
 
 	// UnknownSpawn is set when a task-spawn hypercall's entry PC did not
 	// resolve: hart-locality can then never be proven.
@@ -1070,7 +1067,6 @@ func (a *analyzer) fixpoint() {
 // ---- access collection ----
 
 func (a *analyzer) collectAccesses() {
-	unresolvedHarts := map[int]bool{}
 	for _, fi := range a.order {
 		in := a.lockFixpoint(fi)
 		harts := a.hartsOf(fi.ctx)
@@ -1087,9 +1083,6 @@ func (a *analyzer) collectAccesses() {
 				obj, off, ok := a.resolveTarget(fi, f.target)
 				if !ok {
 					a.res.Unresolved++
-					for _, h := range harts {
-						unresolvedHarts[h] = true
-					}
 					return
 				}
 				if obj < 0 {
@@ -1106,10 +1099,6 @@ func (a *analyzer) collectAccesses() {
 			})
 		}
 	}
-	for h := range unresolvedHarts {
-		a.res.UnresolvedHarts = append(a.res.UnresolvedHarts, h)
-	}
-	sort.Ints(a.res.UnresolvedHarts)
 	sort.SliceStable(a.res.Accesses, func(i, j int) bool { return a.res.Accesses[i].PC < a.res.Accesses[j].PC })
 	// Re-index objects' access lists after the sort.
 	for _, o := range a.objects {

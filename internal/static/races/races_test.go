@@ -1,6 +1,7 @@
 package races_test
 
 import (
+	"reflect"
 	"testing"
 
 	"embsan/internal/guest/elinux"
@@ -117,9 +118,9 @@ func TestElinuxSeededRaceFlagged(t *testing.T) {
 	}
 }
 
-// Guidance consistency: boosted sites are exactly the racy objects'
-// accesses, weight-0 sites are elidable objects' accesses, and the two
-// never overlap.
+// Guidance consistency: every access of a proven always-protected or
+// hart-local object weighs 0, every access of a racy object gets the boost,
+// and unresolved accesses stay off the map.
 func TestSitePrioritiesDisjoint(t *testing.T) {
 	fw, err := elinux.Build(elinux.Board{
 		Name: "races-prio", Arch: isa.ArchARM32E, Mode: kasm.SanNone,
@@ -130,30 +131,40 @@ func TestSitePrioritiesDisjoint(t *testing.T) {
 	}
 	r := analyzeImage(t, fw.Image)
 	prio := r.SitePriorities(0)
-	_, pcs := r.Elisions()
 	boosted, zeroed := 0, 0
-	for _, w := range prio {
-		if w == 0 {
-			zeroed++
-		} else {
-			boosted++
+	for _, o := range r.Objects {
+		var want uint8
+		switch o.Class {
+		case races.ClassRacy:
+			want = races.DefaultBoost
+		case races.ClassProtected, races.ClassHartLocal:
+			want = 0
+		default:
+			continue
+		}
+		for _, ai := range o.Accesses {
+			pc := r.Accesses[ai].PC
+			if w, ok := prio[pc]; !ok || w != want {
+				t.Errorf("%s access at %#x (%v) weighs %d (present %v), want %d", o.Name, pc, o.Class, w, ok, want)
+			}
+			if want == 0 {
+				zeroed++
+			} else {
+				boosted++
+			}
 		}
 	}
 	if boosted == 0 {
 		t.Error("no boosted sites despite a seeded race")
 	}
-	for _, pc := range pcs {
-		if w, ok := prio[pc]; !ok || w != 0 {
-			t.Errorf("elided pc %#x carries weight %d in the priority map", pc, w)
-		}
-	}
-	if zeroed < len(pcs) {
-		t.Errorf("priority map has %d weight-0 sites but elision set has %d", zeroed, len(pcs))
+	if zeroed == 0 {
+		t.Error("no weight-0 sites: no access proven protected or hart-local")
 	}
 }
 
-// Audit accepts the analysis's own records and rejects planted ones.
-func TestAuditRejectsBogusElision(t *testing.T) {
+// TestAnalysisDeterministic: two analyses of one image agree on every
+// object class, candidate pair and arming weight.
+func TestAnalysisDeterministic(t *testing.T) {
 	fw, err := freertos.Build("races-audit", isa.ArchARM32E, kasm.SanNone)
 	if err != nil {
 		t.Fatal(err)
@@ -164,17 +175,14 @@ func TestAuditRejectsBogusElision(t *testing.T) {
 	}
 	r := races.Analyze(an, races.Options{})
 	again := races.Analyze(an, races.Options{})
-	recs, _ := r.Elisions()
-	if len(recs) == 0 {
-		t.Fatal("no elisions derived")
+	if len(r.Objects) == 0 {
+		t.Fatal("no shared objects found")
 	}
-	if err := races.Audit(r, again, recs); err != nil {
-		t.Fatalf("audit rejected the analysis's own records: %v", err)
+	if !reflect.DeepEqual(r.Objects, again.Objects) || !reflect.DeepEqual(r.Pairs, again.Pairs) {
+		t.Error("two analyses of one image disagree on objects or candidate pairs")
 	}
-	bogus := append(append([]kasm.RaceElision(nil), recs...),
-		kasm.RaceElision{Site: 0xDEAD, Kind: "protected", Object: "ghost"})
-	if err := races.Audit(r, again, bogus); err == nil {
-		t.Fatal("audit accepted a planted elision record")
+	if !reflect.DeepEqual(r.SitePriorities(0), again.SitePriorities(0)) {
+		t.Error("two analyses of one image disagree on arming weights")
 	}
 }
 
