@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build vet test test-short race lint obs-check explain-check monitor-check fuzz-smoke bench-parallel perfbench-vet rehost-check races-check cross-build ci ci-short
+.PHONY: build vet test test-short race race-short lint obs-check allocs-check explain-check monitor-check fuzz-smoke bench-parallel perfbench-vet rehost-check races-check cross-build ci ci-short
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,13 @@ obs-check:
 	$(GO) test ./internal/obs -run 'TestEmitZeroAlloc|TestChromeTraceExport' -count 1
 	$(GO) test ./internal/obs/timeline -run TestAdvanceZeroAlloc -count 1
 	$(GO) test ./internal/exps -run 'TestTraceOffIsNoop|TestTimelineOffIsNoop' -count 1
+
+# Allocation gate: once a campaign is warm, one exec (Restore, Exec of an
+# input that does not crash, and the fuzzer's next input) allocates nothing,
+# on the byte frontend with EMBSAN-D allocator hooks and on the syscall
+# frontend with EMBSAN-C hypercalls.
+allocs-check:
+	$(GO) test ./internal/fuzz -run 'TestExecPathZeroAlloc' -count 1
 
 # Monitor gate: the headless HTTP-client test drives every `embsan monitor`
 # endpoint (SSE stream, OpenMetrics scrape, artifact downloads) and asserts
@@ -128,7 +135,7 @@ cross-build:
 races-check:
 	$(GO) run ./cmd/embsan lint -races -all
 
-ci: vet build cross-build lint obs-check explain-check monitor-check race fuzz-smoke rehost-check perfbench-vet races-check
+ci: vet build cross-build lint obs-check allocs-check explain-check monitor-check race fuzz-smoke rehost-check perfbench-vet races-check
 
 # ci with the long campaign/overhead experiments skipped.
-ci-short: vet build cross-build lint obs-check explain-check monitor-check race-short fuzz-smoke rehost-check perfbench-vet races-check
+ci-short: vet build cross-build lint obs-check allocs-check explain-check monitor-check race-short fuzz-smoke rehost-check perfbench-vet races-check

@@ -68,6 +68,40 @@ func TestChainingEquivalenceAndCounters(t *testing.T) {
 	}
 }
 
+// coincidingBranchLoop emits a counted loop around a branch whose target is
+// its own fall-through address, taken on odd counts and not taken on even
+// ones: a block with one successor reached in both directions.
+func coincidingBranchLoop(b *kasm.Builder) {
+	b.Func("_start")
+	b.Li(rT0, 8)
+	b.Label("loop")
+	b.ANDI(rT1, rT0, 1)
+	b.BNEZ(rT1, "next")
+	b.Label("next")
+	b.ADDI(rT0, rT0, -1)
+	b.BNEZ(rT0, "loop")
+	exitWith(b)
+}
+
+// TestCoincidingSuccessorsShareLink: both directions of a branch whose two
+// successors coincide follow one link, so the block reaches the dispatcher
+// once, not once per direction. The five dispatches are the first entry
+// and one per link: _start->next, next->loop, loop->next and next->exit.
+func TestCoincidingSuccessorsShareLink(t *testing.T) {
+	b := kasm.NewBuilder(kasm.Target{Arch: isa.ArchARM32E})
+	coincidingBranchLoop(b)
+	m, err := New(mustLink(t, b, "coincide"), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := m.Run(0); r != StopExit {
+		t.Fatalf("stop=%v", r)
+	}
+	if c := m.Counters(); c.Dispatches != 5 || c.ChainHits == 0 {
+		t.Errorf("dispatches=%d chain hits=%d, want 5 dispatches and chained iterations", c.Dispatches, c.ChainHits)
+	}
+}
+
 // TestChainSurvivesRestore: Restore keeps healthy exit links and jump-cache
 // entries alive — a chain transfer re-validates its target's generations, so
 // there is nothing a rewind of data pages can make stale (reverted text pages

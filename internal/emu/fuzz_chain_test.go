@@ -134,6 +134,7 @@ func FuzzChainedExecution(f *testing.F) {
 		b.Label("done")
 		b.HCALL(isa.HcallExit)
 	}))
+	f.Add(uint8(2), encodeProgram(f, 2, coincidingBranchLoop)) // one successor, both directions
 	f.Add(uint8(1), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00})
 
 	f.Fuzz(func(t *testing.T, seed uint8, code []byte) {

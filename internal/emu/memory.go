@@ -17,8 +17,12 @@ type Memory struct {
 	owner    *ramMapping // owns bytes' mapping; nil when they are on the Go heap
 	shift    uint        // log2 of the block size
 	dirty    blockSet    // the blocks written since the last Snapshot or Restore
+	last     uint32      // a block in dirty, or noBlock
 	pristine [][]byte    // the restore point, one entry per block; nil = all zeros
 }
+
+// noBlock is no block's number: a Memory has fewer than 2^32-1 blocks.
+const noBlock = ^uint32(0)
 
 // zeros is the content of every block the restore point keeps as nil.
 var zeros [pageSize]byte
@@ -29,7 +33,7 @@ var zeros [pageSize]byte
 // once used.
 func NewMemory(size uint32, blockShift uint) Memory {
 	blocks := int((uint64(size) + 1<<blockShift - 1) >> blockShift)
-	mem := Memory{shift: blockShift, dirty: newBlockSet(blocks), pristine: make([][]byte, blocks)}
+	mem := Memory{shift: blockShift, dirty: newBlockSet(blocks), last: noBlock, pristine: make([][]byte, blocks)}
 	mem.bytes, mem.owner = newRAM(size)
 	return mem
 }
@@ -38,12 +42,18 @@ func NewMemory(size uint32, blockShift uint) Memory {
 func (mem *Memory) Bytes() []byte { return mem.bytes }
 
 // MarkDirty records a write to [off, off+n), which must be non-empty and
-// lie inside the memory.
+// lie inside the memory. A write inside the block it marked last marks
+// nothing: that block stays dirty until the next Snapshot or Restore.
 func (mem *Memory) MarkDirty(off, n uint32) {
 	s := mem.shift & 31 // spares the store path the oversized-shift check
-	for b, last := off>>s, (off+n-1)>>s; b <= last; b++ {
+	b, last := off>>s, (off+n-1)>>s
+	if b == mem.last && last == b {
+		return
+	}
+	for ; b <= last; b++ {
 		mem.dirty.add(b)
 	}
+	mem.last = last
 }
 
 // block returns block b (short if the memory ends inside it).
@@ -56,6 +66,7 @@ func (mem *Memory) block(b uint32) []byte {
 // marked since the last Snapshot or Restore can differ from the previous
 // restore point, so only those are copied; all-zero blocks are kept as nil.
 func (mem *Memory) Snapshot() {
+	mem.last = noBlock
 	mem.dirty.drain(func(b uint32) {
 		if blk := mem.block(b); bytes.Equal(blk, zeros[:len(blk)]) {
 			mem.pristine[b] = nil
@@ -69,6 +80,7 @@ func (mem *Memory) Snapshot() {
 // Restore rewinds the blocks marked since the last Snapshot or Restore to
 // the restore point and returns how many it rewound.
 func (mem *Memory) Restore() int {
+	mem.last = noBlock
 	n := mem.dirty.drain(func(b uint32) {
 		if p := mem.pristine[b]; p != nil {
 			copy(mem.block(b), p)

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"encoding/binary"
 	"math"
 
 	"embsan/internal/isa"
@@ -37,6 +38,10 @@ import (
 
 const maxTBLen = 64
 
+// regMask masks a decoded register field into the register file; the
+// decoder never yields a field at or past isa.NumRegs, a power of two.
+const regMask = isa.NumRegs - 1
+
 type stepFlags uint8
 
 const (
@@ -51,25 +56,41 @@ type step struct {
 	inst  isa.Inst
 	pc    uint32
 	flags stepFlags
+	size  uint8 // access width of a load, store or atomic
 }
 
-type tb struct {
-	pc    uint32
-	steps []step
-	gen   uint32 // globalGen at translation time
-	pgen  uint32 // pageGen of the block's page at translation time
-	cover uint32 // coverGen when the coverage hook last saw this block
+// Exit edges of a block. taken and fall index its successor arrays; an
+// indirect exit has no link to follow, and a quantum cut mid-block leaves
+// nothing to chain.
+const (
+	exitTaken = iota
+	exitFall
+	exitIndirect
+	exitRan // sentinel: no step left the block
+)
 
-	// Static successor PCs, 0 = none. A conditional branch has both; a JAL
-	// or a block that simply runs off its end has one; indirect or
-	// exceptional exits (JALR, ECALL, EBREAK, HALT, YIELD) have neither.
-	succTaken uint32
-	succFall  uint32
+type tb struct {
+	pc     uint32
+	steps  []step
+	gen    uint32 // globalGen at translation time
+	pgen   uint32 // pageGen of the block's page at translation time
+	cover  uint32 // coverGen when the coverage hook last saw this block
+	hooked bool   // some step carries a pc hook
+	// fall is the link a not-taken branch follows: exitFall, or exitTaken
+	// when both successors are the same address, so the one link serves
+	// both directions.
+	fall uint8
+
+	// Static successor PCs by exit edge, 0 = none. A conditional branch has
+	// both; a JAL has a taken one; a block that simply runs off its end has
+	// a fall-through one; indirect or exceptional exits (JALR, ECALL,
+	// EBREAK, HALT, YIELD) have neither.
+	succ [2]uint32
 
 	// Chain links to the successor TBs, valid only while the stamped
 	// chainGen is current.
-	linkTaken, linkFall *tb
-	cgenTaken, cgenFall uint64
+	link [2]*tb
+	cgen [2]uint64
 }
 
 func (m *Machine) tbFor(pc uint32) (*tb, FaultKind) {
@@ -106,40 +127,22 @@ type jmpEntry struct {
 // first entry into a block graph. With chaining enabled it consults the jump
 // cache first — the indirect-exit analogue of the patched exit links, under
 // the identical validity rule plus a collision check — and falls back to the
-// dispatcher, installing the resolved block for next time. Counter semantics
-// match edge chaining: every transfer is either a chain hit or a dispatcher
+// dispatcher, installing the resolved block for next time. hit reports a
+// jump-cache hit: every transfer is either a chain hit or a dispatcher
 // entry, never both.
-func (m *Machine) lookupTB(pc uint32) (*tb, FaultKind) {
+func (m *Machine) lookupTB(pc uint32) (t *tb, hit bool, f FaultKind) {
 	if m.cfg.NoChain {
-		return m.tbFor(pc)
+		t, f = m.tbFor(pc)
+		return t, false, f
 	}
 	e := &m.jmpCache[(pc>>2)&(jmpCacheSize-1)]
 	if e.cgen == m.chainGen && e.t.pc == pc {
-		m.ctr.chainHits.Inc()
-		return e.t, FaultNone
+		return e.t, true, FaultNone
 	}
-	t, f := m.tbFor(pc)
-	if f != FaultNone {
-		return nil, f
+	if t, f = m.tbFor(pc); f == FaultNone {
+		e.t, e.cgen = t, m.chainGen
 	}
-	e.t, e.cgen = t, m.chainGen
-	return t, FaultNone
-}
-
-// chainNext resolves the successor TB for an exit edge whose link is missing
-// or severed: through the dispatcher, installing the link for next time.
-// runHart follows valid links itself.
-func (m *Machine) chainNext(t *tb, h *Hart, taken bool) (*tb, FaultKind) {
-	nt, f := m.tbFor(h.PC)
-	if f != FaultNone {
-		return nil, f
-	}
-	if taken {
-		t.linkTaken, t.cgenTaken = nt, m.chainGen
-	} else {
-		t.linkFall, t.cgenFall = nt, m.chainGen
-	}
-	return nt, FaultNone
+	return t, false, f
 }
 
 func (m *Machine) translate(pc uint32) (*tb, FaultKind) {
@@ -170,8 +173,9 @@ func (m *Machine) translate(pc uint32) (*tb, FaultKind) {
 		}
 		if _, hooked := m.pcHooks[cur]; hooked {
 			fl |= stepHook
+			t.hooked = true
 		}
-		t.steps = append(t.steps, step{inst: inst, pc: cur, flags: fl})
+		t.steps = append(t.steps, step{inst: inst, pc: cur, flags: fl, size: uint8(isa.AccessSize(inst.Op))})
 		if isa.Terminates(inst.Op) {
 			break
 		}
@@ -180,18 +184,21 @@ func (m *Machine) translate(pc uint32) (*tb, FaultKind) {
 		return nil, FaultBadFetch
 	}
 	last := t.steps[len(t.steps)-1]
+	t.fall = exitFall
 	switch last.inst.Op {
 	case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
-		t.succTaken = last.pc + uint32(last.inst.Imm)*4
-		t.succFall = last.pc + 4
+		t.succ = [2]uint32{last.pc + uint32(last.inst.Imm)*4, last.pc + 4}
+		if t.succ[exitTaken] == t.succ[exitFall] {
+			t.fall = exitTaken
+		}
 	case isa.OpJAL:
-		t.succTaken = last.pc + uint32(last.inst.Imm)*4
+		t.succ[exitTaken] = last.pc + uint32(last.inst.Imm)*4
 	case isa.OpJALR, isa.OpECALL, isa.OpEBREAK, isa.OpHALT, isa.OpYIELD:
 		// Indirect or exceptional exit: no static successor to chain to.
 	default:
 		// The block ran off its end (page boundary, length cap, or a word
 		// that will fault if reached): execution falls through to last.pc+4.
-		t.succFall = last.pc + 4
+		t.succ[exitFall] = last.pc + 4
 	}
 	m.ctr.transInsts.Add(uint64(len(t.steps)))
 	return t, FaultNone
@@ -287,8 +294,11 @@ func (m *Machine) Run(budget uint64) StopReason {
 
 func (m *Machine) pickHart() *Hart {
 	n := len(m.harts)
-	for i := 1; i <= n; i++ {
-		idx := (m.cur + i) % n
+	idx := m.cur
+	for i := 0; i < n; i++ {
+		if idx++; idx == n {
+			idx = 0
+		}
 		h := &m.harts[idx]
 		if h.Active && !h.Halted && h.resumeAt <= m.icnt {
 			m.cur = idx
@@ -298,24 +308,46 @@ func (m *Machine) pickHart() *Hart {
 	return nil
 }
 
+// runHart runs hart h for one quantum: block after block in one loop, so a
+// chained transfer never leaves it. Per-block work other than the lookup —
+// coverage, trace events, profiling — runs identically whether the block
+// came from a link, the jump cache or the dispatcher, which is what keeps
+// traces byte-identical with chaining on or off.
+//
+// Chain hits and the dispatches the armed check settles in the template are
+// counted in locals and added to their instruments once, on return: every
+// reader of those instruments runs after Run returns. The template settles
+// an access only while trace and profile are off, so a traced run emits the
+// same dispatch events whichever path an access takes.
 func (m *Machine) runHart(h *Hart, quantum, target uint64) {
 	end := m.icnt + quantum
 	if end > target {
 		end = target
 	}
+	var chainHits, settledMem, settledSanck uint64
+	tr, pr := m.trace, m.prof // set only between runs
+	plain := tr == nil && pr == nil
+	r := &h.Regs
+	// Plain RAM: a load inside it reads the bytes in the guest byte order,
+	// and a store also past the text needs no device, fault or invalidation.
+	ram, big := m.bus.ram.bytes, m.bus.big
+	ramSpan := uint64(len(ram)) - NullGuardSize
+	dataLo := max(m.image.TextEnd(), NullGuardSize)
+	dataSpan := uint64(len(ram)) - uint64(dataLo)
+
 	// t carries the block resolved by the previous iteration's chain link;
-	// nil sends the transfer through the dispatcher. Per-block work other
-	// than the lookup — coverage, trace events, profiling — runs identically
-	// on both paths, which is what keeps traces byte-identical with chaining
-	// on or off.
+	// nil sends the transfer through the jump cache and the dispatcher.
 	var t *tb
 	for m.stop == StopNone && m.icnt < end {
 		if t == nil {
+			var hit bool
 			var f FaultKind
-			t, f = m.lookupTB(h.PC)
-			if f != FaultNone {
+			if t, hit, f = m.lookupTB(h.PC); f != FaultNone {
 				m.raiseFault(f, h, h.PC, h.PC)
-				return
+				break
+			}
+			if hit {
+				chainHits++
 			}
 		}
 		if t.cover != m.coverGen {
@@ -326,49 +358,412 @@ func (m *Machine) runHart(h *Hart, quantum, target uint64) {
 		}
 		enterPC := h.PC
 		start := m.icnt
-		if m.trace != nil {
-			m.trace.Emit(obs.Event{ICnt: start, PC: enterPC, Kind: obs.EvTBEnter, Hart: uint8(h.ID)})
+		if tr != nil {
+			tr.Emit(obs.Event{ICnt: start, PC: enterPC, Kind: obs.EvTBEnter, Hart: uint8(h.ID)})
 		}
-		ex := m.execTB(h, t, end)
-		if m.prof != nil {
-			m.prof.AddInsts(enterPC, m.icnt-start)
+
+		// Run the steps that fit the quantum. A step that ends the block
+		// names its exit edge, or sets ex when the hart stops, stalls,
+		// yields or halts.
+		steps := t.steps
+		if rem := end - m.icnt; uint64(len(steps)) > rem {
+			steps = steps[:rem]
 		}
-		if m.trace != nil {
-			m.trace.Emit(obs.Event{ICnt: m.icnt, PC: enterPC, Arg: uint32(ex), Kind: obs.EvTBExit, Hart: uint8(h.ID)})
+		hooked := t.hooked || m.TraceHook != nil
+		ex, exit := tbDone, exitRan
+	block:
+		for i := range steps {
+			s := &steps[i]
+			if hooked {
+				if s.flags&stepHook != 0 {
+					m.pcHooks[s.pc](m, h)
+					if m.stop != StopNone {
+						h.PC = s.pc
+						ex = tbStop
+						break block
+					}
+				}
+				if m.TraceHook != nil {
+					m.TraceHook(h.ID, s.pc, s.inst)
+				}
+			}
+			in := &s.inst
+			m.icnt++
+			// Register fields index r masked, which drops the bounds
+			// checks. r0 is written like any register and re-zeroed after
+			// the step.
+			switch in.Op {
+			// ---- ALU reg-reg ----
+			case isa.OpADD:
+				r[in.Rd&regMask] = r[in.Rs1&regMask] + r[in.Rs2&regMask]
+			case isa.OpSUB:
+				r[in.Rd&regMask] = r[in.Rs1&regMask] - r[in.Rs2&regMask]
+			case isa.OpAND:
+				r[in.Rd&regMask] = r[in.Rs1&regMask] & r[in.Rs2&regMask]
+			case isa.OpOR:
+				r[in.Rd&regMask] = r[in.Rs1&regMask] | r[in.Rs2&regMask]
+			case isa.OpXOR:
+				r[in.Rd&regMask] = r[in.Rs1&regMask] ^ r[in.Rs2&regMask]
+			case isa.OpSLL:
+				r[in.Rd&regMask] = r[in.Rs1&regMask] << (r[in.Rs2&regMask] & 31)
+			case isa.OpSRL:
+				r[in.Rd&regMask] = r[in.Rs1&regMask] >> (r[in.Rs2&regMask] & 31)
+			case isa.OpSRA:
+				r[in.Rd&regMask] = uint32(int32(r[in.Rs1&regMask]) >> (r[in.Rs2&regMask] & 31))
+			case isa.OpMUL:
+				r[in.Rd&regMask] = r[in.Rs1&regMask] * r[in.Rs2&regMask]
+			case isa.OpMULHU:
+				r[in.Rd&regMask] = uint32((uint64(r[in.Rs1&regMask]) * uint64(r[in.Rs2&regMask])) >> 32)
+			case isa.OpDIV:
+				a, b := int32(r[in.Rs1&regMask]), int32(r[in.Rs2&regMask])
+				switch {
+				case b == 0:
+					r[in.Rd&regMask] = 0xFFFFFFFF
+				case a == math.MinInt32 && b == -1:
+					r[in.Rd&regMask] = uint32(a)
+				default:
+					r[in.Rd&regMask] = uint32(a / b)
+				}
+			case isa.OpDIVU:
+				if b := r[in.Rs2&regMask]; b == 0 {
+					r[in.Rd&regMask] = 0xFFFFFFFF
+				} else {
+					r[in.Rd&regMask] = r[in.Rs1&regMask] / b
+				}
+			case isa.OpREM:
+				a, b := int32(r[in.Rs1&regMask]), int32(r[in.Rs2&regMask])
+				switch {
+				case b == 0:
+					r[in.Rd&regMask] = uint32(a)
+				case a == math.MinInt32 && b == -1:
+					r[in.Rd&regMask] = 0
+				default:
+					r[in.Rd&regMask] = uint32(a % b)
+				}
+			case isa.OpREMU:
+				if b := r[in.Rs2&regMask]; b == 0 {
+					r[in.Rd&regMask] = r[in.Rs1&regMask]
+				} else {
+					r[in.Rd&regMask] = r[in.Rs1&regMask] % b
+				}
+			case isa.OpSLT:
+				r[in.Rd&regMask] = b2u(int32(r[in.Rs1&regMask]) < int32(r[in.Rs2&regMask]))
+			case isa.OpSLTU:
+				r[in.Rd&regMask] = b2u(r[in.Rs1&regMask] < r[in.Rs2&regMask])
+
+			// ---- ALU reg-imm ----
+			case isa.OpADDI:
+				r[in.Rd&regMask] = r[in.Rs1&regMask] + uint32(in.Imm)
+			case isa.OpANDI:
+				r[in.Rd&regMask] = r[in.Rs1&regMask] & uint32(in.Imm)
+			case isa.OpORI:
+				r[in.Rd&regMask] = r[in.Rs1&regMask] | uint32(in.Imm)
+			case isa.OpXORI:
+				r[in.Rd&regMask] = r[in.Rs1&regMask] ^ uint32(in.Imm)
+			case isa.OpSLLI:
+				r[in.Rd&regMask] = r[in.Rs1&regMask] << (uint32(in.Imm) & 31)
+			case isa.OpSRLI:
+				r[in.Rd&regMask] = r[in.Rs1&regMask] >> (uint32(in.Imm) & 31)
+			case isa.OpSRAI:
+				r[in.Rd&regMask] = uint32(int32(r[in.Rs1&regMask]) >> (uint32(in.Imm) & 31))
+			case isa.OpSLTI:
+				r[in.Rd&regMask] = b2u(int32(r[in.Rs1&regMask]) < in.Imm)
+			case isa.OpSLTIU:
+				r[in.Rd&regMask] = b2u(r[in.Rs1&regMask] < uint32(in.Imm))
+			case isa.OpLUI:
+				r[in.Rd&regMask] = uint32(in.Imm) << 12
+			case isa.OpAUIPC:
+				r[in.Rd&regMask] = s.pc + uint32(in.Imm)<<12
+
+			// ---- loads ----
+			case isa.OpLB, isa.OpLBU, isa.OpLH, isa.OpLHU, isa.OpLW, isa.OpLRW:
+				addr := r[in.Rs1&regMask] + uint32(in.Imm)
+				size := uint32(s.size)
+				if s.flags&stepMem != 0 {
+					if s.flags&stepInline != 0 && plain && (s.flags&stepQuiet != 0 || m.inlineClean(addr, size)) {
+						settledMem++
+					} else if ex = m.dispatch(h, s.pc, addr, size, false, in.Op == isa.OpLRW, s.flags); ex != tbDone {
+						break block
+					}
+				}
+				var v uint32
+				if uint64(addr-NullGuardSize)+uint64(size) <= ramSpan {
+					switch {
+					case size == 1:
+						v = uint32(ram[addr])
+					case size == 2 && big:
+						v = uint32(binary.BigEndian.Uint16(ram[addr:]))
+					case size == 2:
+						v = uint32(binary.LittleEndian.Uint16(ram[addr:]))
+					case big:
+						v = binary.BigEndian.Uint32(ram[addr:])
+					default:
+						v = binary.LittleEndian.Uint32(ram[addr:])
+					}
+				} else {
+					var f FaultKind
+					if v, f = m.bus.read(addr, size); f != FaultNone {
+						m.raiseFault(f, h, s.pc, addr)
+						ex = tbStop
+						break block
+					}
+				}
+				switch in.Op {
+				case isa.OpLB:
+					v = uint32(int32(int8(v)))
+				case isa.OpLH:
+					v = uint32(int32(int16(v)))
+				case isa.OpLRW:
+					h.resValid, h.resAddr = true, addr
+					m.resHeld = true
+				}
+				r[in.Rd&regMask] = v
+
+			// ---- stores ----
+			case isa.OpSB, isa.OpSH, isa.OpSW, isa.OpSCW:
+				addr := r[in.Rs1&regMask] + uint32(in.Imm)
+				if in.Op == isa.OpSCW {
+					addr = r[in.Rs1&regMask]
+					if !h.resValid || h.resAddr != addr {
+						h.resValid = false
+						r[in.Rd&regMask] = 1
+						break
+					}
+				}
+				size := uint32(s.size)
+				if s.flags&stepMem != 0 {
+					if s.flags&stepInline != 0 && plain && (s.flags&stepQuiet != 0 || m.inlineClean(addr, size)) {
+						settledMem++
+					} else if ex = m.dispatch(h, s.pc, addr, size, true, in.Op == isa.OpSCW, s.flags); ex != tbDone {
+						break block
+					}
+				}
+				v := r[in.Rs2&regMask]
+				if uint64(addr-dataLo)+uint64(size) <= dataSpan {
+					m.bus.ram.MarkDirty(addr, size) // inlined: a store within the page marked last marks nothing
+					switch {
+					case size == 1:
+						ram[addr] = byte(v)
+					case size == 2 && big:
+						binary.BigEndian.PutUint16(ram[addr:], uint16(v))
+					case size == 2:
+						binary.LittleEndian.PutUint16(ram[addr:], uint16(v))
+					case big:
+						binary.BigEndian.PutUint32(ram[addr:], v)
+					default:
+						binary.LittleEndian.PutUint32(ram[addr:], v)
+					}
+				} else if f := m.write(addr, size, v); f != FaultNone {
+					m.raiseFault(f, h, s.pc, addr)
+					ex = tbStop
+					break block
+				}
+				m.clearReservations(addr, h)
+				if in.Op == isa.OpSCW {
+					h.resValid = false
+					r[in.Rd&regMask] = 0
+				}
+
+			// ---- atomics ----
+			case isa.OpAMOADDW, isa.OpAMOSWAPW, isa.OpAMOORW, isa.OpAMOANDW:
+				addr := r[in.Rs1&regMask]
+				if s.flags&stepMem != 0 {
+					if s.flags&stepInline != 0 && plain && (s.flags&stepQuiet != 0 || m.inlineClean(addr, 4)) {
+						settledMem++
+					} else if ex = m.dispatch(h, s.pc, addr, 4, true, true, s.flags); ex != tbDone {
+						break block
+					}
+				}
+				old, f := m.bus.read(addr, 4)
+				if f != FaultNone {
+					m.raiseFault(f, h, s.pc, addr)
+					ex = tbStop
+					break block
+				}
+				var nv uint32
+				switch in.Op {
+				case isa.OpAMOADDW:
+					nv = old + r[in.Rs2&regMask]
+				case isa.OpAMOSWAPW:
+					nv = r[in.Rs2&regMask]
+				case isa.OpAMOORW:
+					nv = old | r[in.Rs2&regMask]
+				case isa.OpAMOANDW:
+					nv = old & r[in.Rs2&regMask]
+				}
+				if f := m.write(addr, 4, nv); f != FaultNone {
+					m.raiseFault(f, h, s.pc, addr)
+					ex = tbStop
+					break block
+				}
+				m.clearReservations(addr, h)
+				r[in.Rd&regMask] = old
+
+			// ---- branches ----
+			case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
+				var take bool
+				a, b := r[in.Rs1&regMask], r[in.Rs2&regMask]
+				if m.CmpHook != nil && a != b && (in.Op == isa.OpBEQ || in.Op == isa.OpBNE) {
+					m.CmpHook(a, b)
+				}
+				switch in.Op {
+				case isa.OpBEQ:
+					take = a == b
+				case isa.OpBNE:
+					take = a != b
+				case isa.OpBLT:
+					take = int32(a) < int32(b)
+				case isa.OpBGE:
+					take = int32(a) >= int32(b)
+				case isa.OpBLTU:
+					take = a < b
+				case isa.OpBGEU:
+					take = a >= b
+				}
+				if take {
+					h.PC, exit = s.pc+uint32(in.Imm)*4, exitTaken
+				} else {
+					h.PC, exit = s.pc+4, int(t.fall)
+				}
+				break block
+
+			// ---- jumps ----
+			case isa.OpJAL:
+				if in.Rd == isa.RegRA {
+					h.callPush(s.pc)
+				}
+				r[in.Rd&regMask] = s.pc + 4
+				r[0] = 0
+				h.PC, exit = s.pc+uint32(in.Imm)*4, exitTaken
+				break block
+			case isa.OpJALR:
+				target := (r[in.Rs1&regMask] + uint32(in.Imm)) &^ 1
+				if in.Rd == isa.RegRA {
+					h.callPush(s.pc)
+				} else {
+					h.callRet(target)
+				}
+				r[in.Rd&regMask] = s.pc + 4
+				r[0] = 0
+				h.PC, exit = target, exitIndirect
+				break block
+
+			// ---- system ----
+			case isa.OpHCALL:
+				if fn, ok := m.hypers[in.Imm]; ok {
+					h.PC = s.pc // give handlers an accurate PC
+					fn(m, h)
+					if m.stop != StopNone {
+						h.PC = s.pc + 4
+						ex = tbStop
+						break block
+					}
+				}
+			case isa.OpECALL:
+				m.raiseFault(FaultIllegalInst, h, s.pc, s.pc)
+				ex = tbStop
+				break block
+			case isa.OpEBREAK:
+				m.raiseFault(FaultBreakpoint, h, s.pc, s.pc)
+				ex = tbStop
+				break block
+			case isa.OpHALT:
+				h.Halted = true
+				h.PC = s.pc
+				ex = tbHalt
+				break block
+			case isa.OpYIELD:
+				h.PC = s.pc + 4
+				ex = tbYield
+				break block
+			case isa.OpFENCE:
+				// ordering no-op
+			case isa.OpCSRR:
+				var v uint32
+				switch in.Imm {
+				case isa.CSRHartID:
+					v = uint32(h.ID)
+				case isa.CSRCycles:
+					v = uint32(m.icnt)
+				case isa.CSRNHarts:
+					v = uint32(len(m.harts))
+				case isa.CSRRand:
+					v = m.nextRand()
+				case isa.CSRScratch0:
+					v = h.Scratch[0]
+				case isa.CSRScratch1:
+					v = h.Scratch[1]
+				}
+				r[in.Rd&regMask] = v
+			case isa.OpCSRW:
+				switch in.Imm {
+				case isa.CSRScratch0:
+					h.Scratch[0] = r[in.Rs1&regMask]
+				case isa.CSRScratch1:
+					h.Scratch[1] = r[in.Rs1&regMask]
+				}
+
+			case isa.OpSANCK:
+				if s.flags&stepSanck != 0 {
+					addr := r[in.Rs1&regMask] + uint32(in.Imm)
+					size, write, atomic := isa.SanckDecode(in.Rd)
+					if s.flags&stepInline != 0 && plain && (s.flags&stepQuiet != 0 || m.inlineClean(addr, size)) {
+						settledSanck++
+					} else if ex = m.dispatch(h, s.pc, addr, size, write, atomic, s.flags); ex != tbDone {
+						break block
+					}
+				}
+
+			default:
+				m.raiseFault(FaultIllegalInst, h, s.pc, s.pc)
+				ex = tbStop
+				break block
+			}
+			r[0] = 0
 		}
-		switch ex {
-		case tbYield, tbStall, tbStop, tbHalt:
-			return
+		if exit == exitRan && ex == tbDone {
+			if len(steps) < len(t.steps) {
+				// Cut by the quantum: resume mid-block, chain nothing.
+				h.PC, exit = t.steps[len(steps)].pc, exitIndirect
+			} else {
+				h.PC, exit = t.steps[len(t.steps)-1].pc+4, exitFall
+			}
 		}
+		if pr != nil {
+			pr.AddInsts(enterPC, m.icnt-start)
+		}
+		if tr != nil {
+			tr.Emit(obs.Event{ICnt: m.icnt, PC: enterPC, Arg: uint32(ex), Kind: obs.EvTBExit, Hart: uint8(h.ID)})
+		}
+		if ex != tbDone {
+			break
+		}
+
+		// Follow the exit's link only for a transfer that will actually
+		// execute next (same guard as the loop head). A link whose stamp
+		// matches chainGen is followed on the spot; a missing or severed
+		// one is resolved through the dispatcher and installed.
 		cur := t
 		t = nil
-		// Follow a chain link only for a completed block exit that will
-		// actually execute next (same guard as the loop head): a budget stop
-		// leaves h.PC mid-block, where a coincidental match with a static
-		// successor must not bypass the dispatcher.
-		// A link whose stamp matches chainGen is followed on the spot.
-		if !m.cfg.NoChain && m.stop == StopNone && m.icnt < end {
-			var f FaultKind
-			if cur.succTaken != 0 && h.PC == cur.succTaken {
-				if cur.cgenTaken == m.chainGen {
-					t = cur.linkTaken
-					m.ctr.chainHits.Inc()
-				} else {
-					t, f = m.chainNext(cur, h, true)
+		if exit <= exitFall && cur.succ[exit] != 0 && !m.cfg.NoChain && m.stop == StopNone && m.icnt < end {
+			if cur.cgen[exit] == m.chainGen {
+				t = cur.link[exit]
+				chainHits++
+			} else {
+				var f FaultKind
+				if t, f = m.tbFor(h.PC); f != FaultNone {
+					m.raiseFault(f, h, h.PC, h.PC)
+					break
 				}
-			} else if cur.succFall != 0 && h.PC == cur.succFall {
-				if cur.cgenFall == m.chainGen {
-					t = cur.linkFall
-					m.ctr.chainHits.Inc()
-				} else {
-					t, f = m.chainNext(cur, h, false)
-				}
-			}
-			if f != FaultNone {
-				m.raiseFault(f, h, h.PC, h.PC)
-				return
+				cur.link[exit], cur.cgen[exit] = t, m.chainGen
 			}
 		}
+	}
+	m.ctr.chainHits.Add(chainHits)
+	if settledMem|settledSanck != 0 {
+		m.ctr.inlineFast.Add(settledMem + settledSanck)
+		m.ctr.memProbes.Add(settledMem)
+		m.ctr.sanckTraps.Add(settledSanck)
 	}
 }
 
@@ -380,352 +775,25 @@ func (m *Machine) raiseFault(kind FaultKind, h *Hart, pc, addr uint32) {
 	m.stop = StopFault
 }
 
-func setReg(h *Hart, rd uint8, v uint32) {
-	if rd != 0 {
-		h.Regs[rd] = v
+// dispatch sends one access or SANCK site's event to its probe (the Mem
+// probe, or the Sanck probe for a SANCK step) and translates the outcome.
+// It returns tbDone when execution should proceed. It performs the full
+// dispatch accounting, so an armed site whose in-template check settles the
+// access still emits its trace and profile events; only the delegate call
+// itself is skipped. A stall suspends the hart before the step: an access
+// un-retires, while a SANCK re-runs when the hart resumes.
+func (m *Machine) dispatch(h *Hart, pc, addr, size uint32, write, atomic bool, fl stepFlags) tbExit {
+	sanck := fl&stepSanck != 0
+	kind := obs.EvMemProbe
+	if sanck {
+		m.ctr.sanckTraps.Inc()
+		kind = obs.EvSanck
+	} else {
+		m.ctr.memProbes.Inc()
 	}
-}
-
-// execTB runs the steps of t on hart h until the block ends, the
-// per-quantum instruction limit is hit, or something exceptional happens.
-// Every step retires exactly one instruction unless it leaves the block, so
-// the steps that fit the limit are counted once, up front.
-func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
-	steps := t.steps
-	if rem := end - m.icnt; uint64(len(steps)) > rem {
-		steps = steps[:rem]
-	}
-	r := &h.Regs
-	for i := range steps {
-		s := &steps[i]
-		if s.flags&stepHook != 0 {
-			m.pcHooks[s.pc](m, h)
-			if m.stop != StopNone {
-				h.PC = s.pc
-				return tbStop
-			}
-		}
-		if m.TraceHook != nil {
-			m.TraceHook(h.ID, s.pc, s.inst)
-		}
-		in := &s.inst
-		m.icnt++
-		switch in.Op {
-		// ---- ALU reg-reg ----
-		case isa.OpADD:
-			setReg(h, in.Rd, r[in.Rs1]+r[in.Rs2])
-		case isa.OpSUB:
-			setReg(h, in.Rd, r[in.Rs1]-r[in.Rs2])
-		case isa.OpAND:
-			setReg(h, in.Rd, r[in.Rs1]&r[in.Rs2])
-		case isa.OpOR:
-			setReg(h, in.Rd, r[in.Rs1]|r[in.Rs2])
-		case isa.OpXOR:
-			setReg(h, in.Rd, r[in.Rs1]^r[in.Rs2])
-		case isa.OpSLL:
-			setReg(h, in.Rd, r[in.Rs1]<<(r[in.Rs2]&31))
-		case isa.OpSRL:
-			setReg(h, in.Rd, r[in.Rs1]>>(r[in.Rs2]&31))
-		case isa.OpSRA:
-			setReg(h, in.Rd, uint32(int32(r[in.Rs1])>>(r[in.Rs2]&31)))
-		case isa.OpMUL:
-			setReg(h, in.Rd, r[in.Rs1]*r[in.Rs2])
-		case isa.OpMULHU:
-			setReg(h, in.Rd, uint32((uint64(r[in.Rs1])*uint64(r[in.Rs2]))>>32))
-		case isa.OpDIV:
-			a, b := int32(r[in.Rs1]), int32(r[in.Rs2])
-			if b == 0 {
-				setReg(h, in.Rd, 0xFFFFFFFF)
-			} else if a == math.MinInt32 && b == -1 {
-				setReg(h, in.Rd, uint32(a))
-			} else {
-				setReg(h, in.Rd, uint32(a/b))
-			}
-		case isa.OpDIVU:
-			if r[in.Rs2] == 0 {
-				setReg(h, in.Rd, 0xFFFFFFFF)
-			} else {
-				setReg(h, in.Rd, r[in.Rs1]/r[in.Rs2])
-			}
-		case isa.OpREM:
-			a, b := int32(r[in.Rs1]), int32(r[in.Rs2])
-			if b == 0 {
-				setReg(h, in.Rd, uint32(a))
-			} else if a == math.MinInt32 && b == -1 {
-				setReg(h, in.Rd, 0)
-			} else {
-				setReg(h, in.Rd, uint32(a%b))
-			}
-		case isa.OpREMU:
-			if r[in.Rs2] == 0 {
-				setReg(h, in.Rd, r[in.Rs1])
-			} else {
-				setReg(h, in.Rd, r[in.Rs1]%r[in.Rs2])
-			}
-		case isa.OpSLT:
-			setReg(h, in.Rd, b2u(int32(r[in.Rs1]) < int32(r[in.Rs2])))
-		case isa.OpSLTU:
-			setReg(h, in.Rd, b2u(r[in.Rs1] < r[in.Rs2]))
-
-		// ---- ALU reg-imm ----
-		case isa.OpADDI:
-			setReg(h, in.Rd, r[in.Rs1]+uint32(in.Imm))
-		case isa.OpANDI:
-			setReg(h, in.Rd, r[in.Rs1]&uint32(in.Imm))
-		case isa.OpORI:
-			setReg(h, in.Rd, r[in.Rs1]|uint32(in.Imm))
-		case isa.OpXORI:
-			setReg(h, in.Rd, r[in.Rs1]^uint32(in.Imm))
-		case isa.OpSLLI:
-			setReg(h, in.Rd, r[in.Rs1]<<(uint32(in.Imm)&31))
-		case isa.OpSRLI:
-			setReg(h, in.Rd, r[in.Rs1]>>(uint32(in.Imm)&31))
-		case isa.OpSRAI:
-			setReg(h, in.Rd, uint32(int32(r[in.Rs1])>>(uint32(in.Imm)&31)))
-		case isa.OpSLTI:
-			setReg(h, in.Rd, b2u(int32(r[in.Rs1]) < in.Imm))
-		case isa.OpSLTIU:
-			setReg(h, in.Rd, b2u(r[in.Rs1] < uint32(in.Imm)))
-		case isa.OpLUI:
-			setReg(h, in.Rd, uint32(in.Imm)<<12)
-		case isa.OpAUIPC:
-			setReg(h, in.Rd, s.pc+uint32(in.Imm)<<12)
-
-		// ---- loads ----
-		case isa.OpLB, isa.OpLBU, isa.OpLH, isa.OpLHU, isa.OpLW, isa.OpLRW:
-			addr := r[in.Rs1] + uint32(in.Imm)
-			size := isa.AccessSize(in.Op)
-			if s.flags&stepMem != 0 {
-				if ex := m.fireMem(h, s.pc, addr, size, false, in.Op == isa.OpLRW, s.flags); ex != tbDone {
-					return ex
-				}
-			}
-			v, f := m.bus.read(addr, size)
-			if f != FaultNone {
-				m.raiseFault(f, h, s.pc, addr)
-				return tbStop
-			}
-			switch in.Op {
-			case isa.OpLB:
-				v = uint32(int32(int8(v)))
-			case isa.OpLH:
-				v = uint32(int32(int16(v)))
-			}
-			if in.Op == isa.OpLRW {
-				h.resValid, h.resAddr = true, addr
-				m.resHeld = true
-			}
-			setReg(h, in.Rd, v)
-
-		// ---- stores ----
-		case isa.OpSB, isa.OpSH, isa.OpSW, isa.OpSCW:
-			addr := r[in.Rs1] + uint32(in.Imm)
-			if in.Op == isa.OpSCW {
-				addr = r[in.Rs1]
-				if !h.resValid || h.resAddr != addr {
-					h.resValid = false
-					setReg(h, in.Rd, 1)
-					break
-				}
-			}
-			size := isa.AccessSize(in.Op)
-			if s.flags&stepMem != 0 {
-				if ex := m.fireMem(h, s.pc, addr, size, true, in.Op == isa.OpSCW, s.flags); ex != tbDone {
-					return ex
-				}
-			}
-			if f := m.write(addr, size, r[in.Rs2]); f != FaultNone {
-				m.raiseFault(f, h, s.pc, addr)
-				return tbStop
-			}
-			m.clearReservations(addr, h)
-			if in.Op == isa.OpSCW {
-				h.resValid = false
-				setReg(h, in.Rd, 0)
-			}
-
-		// ---- atomics ----
-		case isa.OpAMOADDW, isa.OpAMOSWAPW, isa.OpAMOORW, isa.OpAMOANDW:
-			addr := r[in.Rs1]
-			if s.flags&stepMem != 0 {
-				if ex := m.fireMem(h, s.pc, addr, 4, true, true, s.flags); ex != tbDone {
-					return ex
-				}
-			}
-			old, f := m.bus.read(addr, 4)
-			if f != FaultNone {
-				m.raiseFault(f, h, s.pc, addr)
-				return tbStop
-			}
-			var nv uint32
-			switch in.Op {
-			case isa.OpAMOADDW:
-				nv = old + r[in.Rs2]
-			case isa.OpAMOSWAPW:
-				nv = r[in.Rs2]
-			case isa.OpAMOORW:
-				nv = old | r[in.Rs2]
-			case isa.OpAMOANDW:
-				nv = old & r[in.Rs2]
-			}
-			if f := m.write(addr, 4, nv); f != FaultNone {
-				m.raiseFault(f, h, s.pc, addr)
-				return tbStop
-			}
-			m.clearReservations(addr, h)
-			setReg(h, in.Rd, old)
-
-		// ---- branches ----
-		case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
-			var take bool
-			a, b := r[in.Rs1], r[in.Rs2]
-			if m.CmpHook != nil && a != b && (in.Op == isa.OpBEQ || in.Op == isa.OpBNE) {
-				m.CmpHook(a, b)
-			}
-			switch in.Op {
-			case isa.OpBEQ:
-				take = a == b
-			case isa.OpBNE:
-				take = a != b
-			case isa.OpBLT:
-				take = int32(a) < int32(b)
-			case isa.OpBGE:
-				take = int32(a) >= int32(b)
-			case isa.OpBLTU:
-				take = a < b
-			case isa.OpBGEU:
-				take = a >= b
-			}
-			if take {
-				h.PC = s.pc + uint32(in.Imm)*4
-			} else {
-				h.PC = s.pc + 4
-			}
-			return tbDone
-
-		// ---- jumps ----
-		case isa.OpJAL:
-			if in.Rd == isa.RegRA {
-				h.callPush(s.pc)
-			}
-			setReg(h, in.Rd, s.pc+4)
-			h.PC = s.pc + uint32(in.Imm)*4
-			return tbDone
-		case isa.OpJALR:
-			target := (r[in.Rs1] + uint32(in.Imm)) &^ 1
-			if in.Rd == isa.RegRA {
-				h.callPush(s.pc)
-			} else {
-				h.callRet(target)
-			}
-			setReg(h, in.Rd, s.pc+4)
-			h.PC = target
-			return tbDone
-
-		// ---- system ----
-		case isa.OpHCALL:
-			if fn, ok := m.hypers[in.Imm]; ok {
-				h.PC = s.pc // give handlers an accurate PC
-				fn(m, h)
-				if m.stop != StopNone {
-					h.PC = s.pc + 4
-					return tbStop
-				}
-			}
-		case isa.OpECALL:
-			m.raiseFault(FaultIllegalInst, h, s.pc, s.pc)
-			return tbStop
-		case isa.OpEBREAK:
-			m.raiseFault(FaultBreakpoint, h, s.pc, s.pc)
-			return tbStop
-		case isa.OpHALT:
-			h.Halted = true
-			h.PC = s.pc
-			return tbHalt
-		case isa.OpYIELD:
-			h.PC = s.pc + 4
-			return tbYield
-		case isa.OpFENCE:
-			// ordering no-op
-		case isa.OpCSRR:
-			var v uint32
-			switch in.Imm {
-			case isa.CSRHartID:
-				v = uint32(h.ID)
-			case isa.CSRCycles:
-				v = uint32(m.icnt)
-			case isa.CSRNHarts:
-				v = uint32(len(m.harts))
-			case isa.CSRRand:
-				v = m.nextRand()
-			case isa.CSRScratch0:
-				v = h.Scratch[0]
-			case isa.CSRScratch1:
-				v = h.Scratch[1]
-			}
-			setReg(h, in.Rd, v)
-		case isa.OpCSRW:
-			switch in.Imm {
-			case isa.CSRScratch0:
-				h.Scratch[0] = r[in.Rs1]
-			case isa.CSRScratch1:
-				h.Scratch[1] = r[in.Rs1]
-			}
-
-		case isa.OpSANCK:
-			if s.flags&stepSanck != 0 {
-				m.ctr.sanckTraps.Inc()
-				addr := r[in.Rs1] + uint32(in.Imm)
-				size, write, atomic := isa.SanckDecode(in.Rd)
-				if m.trace != nil {
-					m.trace.Emit(obs.Event{ICnt: m.icnt, PC: s.pc, Addr: addr,
-						Arg: obs.PackAccess(uint32(size), write, atomic), Kind: obs.EvSanck, Hart: uint8(h.ID)})
-				}
-				if m.prof != nil {
-					m.prof.AddDispatch(s.pc)
-				}
-				if s.flags&stepInline != 0 {
-					if s.flags&stepQuiet != 0 || m.inlineClean(addr, size) {
-						m.ctr.inlineFast.Inc()
-						break
-					}
-					m.ctr.inlineSlow.Inc()
-				}
-				ev := m.event(h.ID, s.pc, addr, size, write, atomic)
-				m.probes.Sanck(ev)
-				if ev.StallInsts > 0 {
-					h.PC = s.pc
-					h.resumeAt = m.icnt + ev.StallInsts
-					return tbStall
-				}
-				if m.stop != StopNone {
-					h.PC = s.pc + 4
-					return tbStop
-				}
-			}
-
-		default:
-			m.raiseFault(FaultIllegalInst, h, s.pc, s.pc)
-			return tbStop
-		}
-	}
-	if len(steps) < len(t.steps) {
-		h.PC = t.steps[len(steps)].pc
-		return tbDone
-	}
-	h.PC = t.steps[len(t.steps)-1].pc + 4
-	return tbDone
-}
-
-// fireMem invokes the memory probe and translates its outcome. It returns
-// tbDone when execution should proceed with the access. An armed site
-// performs the full dispatch accounting, then skips only the delegate call
-// itself when the in-template check settles the access.
-func (m *Machine) fireMem(h *Hart, pc, addr, size uint32, write, atomic bool, fl stepFlags) tbExit {
-	m.ctr.memProbes.Inc()
 	if m.trace != nil {
 		m.trace.Emit(obs.Event{ICnt: m.icnt, PC: pc, Addr: addr,
-			Arg: obs.PackAccess(size, write, atomic), Kind: obs.EvMemProbe, Hart: uint8(h.ID)})
+			Arg: obs.PackAccess(size, write, atomic), Kind: kind, Hart: uint8(h.ID)})
 	}
 	if m.prof != nil {
 		m.prof.AddDispatch(pc)
@@ -738,16 +806,25 @@ func (m *Machine) fireMem(h *Hart, pc, addr, size uint32, write, atomic bool, fl
 		m.ctr.inlineSlow.Inc()
 	}
 	ev := m.event(h.ID, pc, addr, size, write, atomic)
-	m.probes.Mem(ev)
+	if sanck {
+		m.probes.Sanck(ev)
+	} else {
+		m.probes.Mem(ev)
+	}
 	if ev.StallInsts > 0 {
 		h.PC = pc
 		h.resumeAt = m.icnt + ev.StallInsts
-		// Undo the retired-instruction count for the access we did not run.
-		m.icnt--
+		if !sanck {
+			// Undo the retired-instruction count for the access we did not run.
+			m.icnt--
+		}
 		return tbStall
 	}
 	if m.stop != StopNone {
 		h.PC = pc
+		if sanck {
+			h.PC = pc + 4
+		}
 		return tbStop
 	}
 	return tbDone

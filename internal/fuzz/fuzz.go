@@ -141,12 +141,14 @@ type Fuzzer struct {
 	corpus     [][]byte
 	seen       map[string]bool
 
-	// cover is the set of covered TB entry PCs: one bit per instruction
-	// word of guest RAM, indexed by pc>>2, so the per-block hook is one bit
-	// test. The translator only enters aligned in-RAM PCs, so every hooked
-	// PC has a bit. It lives on the Fuzzer so a second Run keeps counting
-	// only blocks new to the campaign.
+	// cover is the set of covered TB entry PCs in the image text: one bit
+	// per instruction word from coverBase, so the per-block hook is one bit
+	// test and the set costs text/32 bytes. An entry PC outside the text
+	// (code the guest placed elsewhere) goes to coverOut. Both live on the
+	// Fuzzer so a second Run keeps counting only blocks new to the campaign.
 	cover      []uint64
+	coverBase  uint32
+	coverOut   map[uint32]struct{}
 	coverCount int
 
 	// Comparison-operand dictionary (byte frontend): byte-sized operands of
@@ -155,6 +157,12 @@ type Fuzzer struct {
 	// MAGIC)` parsers are found without brute-forcing 1/256 odds.
 	dict     []byte
 	dictSeen [256]bool
+
+	// buf and prog are reused by every generated or mutated input:
+	// nextInput returns buf, valid until its next call, and the corpus
+	// copies an input only when it admits it.
+	buf  []byte
+	prog gabi.Prog
 
 	// OnCrash, if set, fires for each new deduplicated crash.
 	OnCrash func(*Crash)
@@ -183,12 +191,14 @@ func New(cfg Config) (*Fuzzer, error) {
 	if cfg.MaxInput == 0 {
 		cfg.MaxInput = 128
 	}
+	img := cfg.Instance.Image()
 	f := &Fuzzer{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		cover:   make([]uint64, (cfg.Instance.Machine.RAMSize()/4+63)/64),
-		seen:    make(map[string]bool),
-		metrics: obs.NewRegistry(),
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		cover:     make([]uint64, ((len(img.Text)+3)/4+63)/64),
+		coverBase: img.Base &^ 3,
+		seen:      make(map[string]bool),
+		metrics:   obs.NewRegistry(),
 	}
 	f.mExecs = f.metrics.Counter("fuzz.execs")
 	f.mCrashes = f.metrics.Counter("fuzz.crashes.unique")
@@ -320,7 +330,7 @@ func (f *Fuzzer) Run() *Result {
 			continue
 		}
 		if f.newCov > 0 && r.Done {
-			f.corpus = append(f.corpus, input)
+			f.corpus = append(f.corpus, append([]byte(nil), input...))
 		}
 	}
 
@@ -345,15 +355,25 @@ func (f *Fuzzer) Run() *Result {
 }
 
 // coverPC is the coverage hook: it marks a translation-block entry PC as
-// covered and counts it if it is new to the campaign. The bitset is never
+// covered and counts it if it is new to the campaign. The set is never
 // cleared while the hook is installed, so the machine may report each block
 // once per installation.
 func (f *Fuzzer) coverPC(pc uint32) {
-	w, bit := pc>>8, uint64(1)<<(pc>>2&63)
-	if f.cover[w]&bit != 0 {
-		return
+	if off := (pc - f.coverBase) >> 2; off>>6 < uint32(len(f.cover)) {
+		w, bit := off>>6, uint64(1)<<(off&63)
+		if f.cover[w]&bit != 0 {
+			return
+		}
+		f.cover[w] |= bit
+	} else {
+		if _, ok := f.coverOut[pc]; ok {
+			return
+		}
+		if f.coverOut == nil {
+			f.coverOut = make(map[uint32]struct{})
+		}
+		f.coverOut[pc] = struct{}{}
 	}
-	f.cover[w] |= bit
 	f.coverCount++
 	f.newCov++
 	if _, ok := f.leaders[pc]; ok {
@@ -369,7 +389,8 @@ func (f *Fuzzer) harvest(v uint32) {
 	}
 }
 
-// nextInput picks generation or mutation.
+// nextInput picks generation or mutation. The input it returns is the
+// fuzzer's reused buffer: it is valid until the next call.
 func (f *Fuzzer) nextInput() []byte {
 	if f.cfg.Frontend == FrontendSyscall {
 		// Syzkaller-style: mostly generate typed programs, sometimes mutate
@@ -377,7 +398,7 @@ func (f *Fuzzer) nextInput() []byte {
 		if len(f.corpus) > 0 && f.rng.Intn(100) < 40 {
 			return f.mutate(f.pick())
 		}
-		return f.genProg().Encode()
+		return f.genEncoded()
 	}
 	// Tardis-style: mutate the corpus (seeds anchor the format); generate
 	// random bytes occasionally to escape local minima.
@@ -391,14 +412,16 @@ func (f *Fuzzer) pick() []byte {
 	return f.corpus[f.rng.Intn(len(f.corpus))]
 }
 
-// genProg generates a fresh typed syscall program.
-func (f *Fuzzer) genProg() gabi.Prog {
+// genEncoded generates a fresh typed syscall program and encodes it into
+// buf.
+func (f *Fuzzer) genEncoded() []byte {
 	n := 1 + f.rng.Intn(f.cfg.MaxRecords)
-	p := make(gabi.Prog, n)
-	for i := range p {
-		p[i] = f.genRecord()
+	f.prog = f.prog[:0]
+	for i := 0; i < n; i++ {
+		f.prog = append(f.prog, f.genRecord())
 	}
-	return p
+	f.buf = f.prog.Append(f.buf[:0])
+	return f.buf
 }
 
 var argDictionary = []uint32{0, 1, 2, 4, 8, 16, 64, 127, 128, 255, 256, 4096, 0xFFFFFFFF}
@@ -423,16 +446,17 @@ func (f *Fuzzer) genRecord() gabi.Record {
 
 func (f *Fuzzer) genBytes() []byte {
 	n := 4 + f.rng.Intn(f.cfg.MaxInput-4)
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(f.rng.Intn(256))
+	f.buf = f.buf[:0]
+	for i := 0; i < n; i++ {
+		f.buf = append(f.buf, byte(f.rng.Intn(256)))
 	}
-	return b
+	return f.buf
 }
 
-// mutate applies one to three byte- or record-level mutations.
+// mutate applies one to three byte- or record-level mutations to a copy of
+// in, a corpus entry, made in buf.
 func (f *Fuzzer) mutate(in []byte) []byte {
-	out := append([]byte(nil), in...)
+	out := append(f.buf[:0], in...)
 	// Header bytes steer parsers; bias mutation positions toward them.
 	pos := func() int {
 		if f.rng.Intn(2) == 0 && len(out) > 8 {
@@ -470,7 +494,7 @@ func (f *Fuzzer) mutate(in []byte) []byte {
 			if len(f.corpus) > 0 {
 				other := f.pick()
 				i := f.rng.Intn(len(out))
-				out = append(out[:i:i], other[min(i, len(other)):]...)
+				out = append(out[:i], other[min(i, len(other)):]...)
 			}
 		case 6: // plant a harvested comparison operand
 			if len(f.dict) > 0 {
@@ -478,11 +502,12 @@ func (f *Fuzzer) mutate(in []byte) []byte {
 			}
 		}
 	}
+	f.buf = out // keep what the mutations grew
 	if f.cfg.Frontend == FrontendSyscall {
 		// Keep whole records.
 		out = out[:len(out)/gabi.RecordSize*gabi.RecordSize]
 		if len(out) == 0 {
-			return f.genProg().Encode()
+			return f.genEncoded()
 		}
 	}
 	return out

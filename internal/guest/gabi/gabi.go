@@ -23,8 +23,10 @@ type Record struct {
 type Prog []Record
 
 // Encode serialises the program for the mailbox.
-func (p Prog) Encode() []byte {
-	out := make([]byte, 0, len(p)*RecordSize)
+func (p Prog) Encode() []byte { return p.Append(make([]byte, 0, len(p)*RecordSize)) }
+
+// Append appends the encoding of p to out and returns the extended slice.
+func (p Prog) Append(out []byte) []byte {
 	var buf [RecordSize]byte
 	for _, r := range p {
 		binary.LittleEndian.PutUint32(buf[0:], r.NR)

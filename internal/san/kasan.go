@@ -1,12 +1,25 @@
 package san
 
+import (
+	"maps"
+	"slices"
+)
+
 // KASAN is the host-side address-sanitizer engine. It consumes allocator
 // events (from dummy-library hypercalls under EMBSAN-C, or from Prober-
 // discovered interception points under EMBSAN-D) and validates every memory
 // access against the unified shadow.
 type KASAN struct {
 	shadow *Shadow
-	chunks map[uint32]*Chunk
+	// chunks maps a chunk's base address to its index in arena. An
+	// allocation appends to the arena, so the exec path allocates no chunk
+	// objects; the entries no key maps to any more are dead until compact
+	// drops them. RestoreState truncates the arena back to its length at
+	// the last Snapshot.
+	chunks  map[uint32]int32
+	arena   []Chunk
+	snapLen int // arena length at the last Snapshot; entries below it are rewound, never compacted
+	dead    int // arena entries at or past snapLen that no key maps
 	// Quarantine delays the logical reuse of freed chunk metadata so that a
 	// use-after-free arriving shortly after a reallocation of the same slot
 	// can still name the original free site.
@@ -33,6 +46,7 @@ type KASAN struct {
 // Chunk is one live or quarantined heap object. AllocStack and FreeStack
 // are filled only under forensic arming; once stamped they are never
 // mutated in place, so snapshot copies may share their backing arrays.
+// A *Chunk from the engine is valid until its next allocation or restore.
 type Chunk struct {
 	Addr       uint32
 	Size       uint32
@@ -50,7 +64,7 @@ func NewKASAN(shadow *Shadow, quarantineCap int) *KASAN {
 	}
 	return &KASAN{
 		shadow:  shadow,
-		chunks:  make(map[uint32]*Chunk),
+		chunks:  make(map[uint32]int32),
 		quarCap: quarantineCap,
 	}
 }
@@ -64,7 +78,12 @@ func (k *KASAN) SetStacker(f func() []uint32) { k.stacker = f }
 
 // ChunkAt returns the chunk whose base address is exactly ptr (live or
 // quarantined), or nil.
-func (k *KASAN) ChunkAt(ptr uint32) *Chunk { return k.chunks[ptr] }
+func (k *KASAN) ChunkAt(ptr uint32) *Chunk {
+	if i, ok := k.chunks[ptr]; ok {
+		return &k.arena[i]
+	}
+	return nil
+}
 
 // NoteHeapRegion widens the engine's notion of where heap objects live, and
 // poisons the region as never-allocated.
@@ -92,12 +111,43 @@ func (k *KASAN) OnAlloc(ptr, size, pc uint32) {
 	// Poison the tail up to the next granule boundary explicitly (handled by
 	// Unpoison's partial encoding) — nothing more to do for the slack: the
 	// rest of the heap is already poisoned as uninit/free.
-	c := &Chunk{Addr: ptr, Size: size, AllocPC: pc}
+	c := Chunk{Addr: ptr, Size: size, AllocPC: pc}
 	if k.stacker != nil {
 		c.AllocStack = k.stacker()
 	}
-	k.chunks[ptr] = c
+	if i, ok := k.chunks[ptr]; ok && int(i) >= k.snapLen {
+		k.dead++ // the chunk this one replaces
+	}
+	if k.dead >= compactDead && 2*k.dead >= len(k.arena)-k.snapLen {
+		k.compact(k.snapLen)
+	}
+	k.chunks[ptr] = int32(len(k.arena))
+	k.arena = append(k.arena, c)
 	k.touch(ptr)
+}
+
+// compactDead is how many dead arena entries an allocation tolerates before
+// it compacts: only a long run without a restore gets there.
+const compactDead = 256
+
+// compact renumbers the arena entries from index base on so that only the
+// chunks the table maps remain, in address order, and returns the arena's
+// new length. Entries below base keep their indices.
+func (k *KASAN) compact(base int) int {
+	var keys []uint32
+	for a, i := range k.chunks {
+		if int(i) >= base {
+			keys = append(keys, a)
+		}
+	}
+	slices.Sort(keys)
+	arena := append([]Chunk(nil), k.arena[:base]...)
+	for _, a := range keys {
+		arena = append(arena, k.arena[k.chunks[a]])
+		k.chunks[a] = int32(len(arena) - 1)
+	}
+	k.arena, k.dead = arena, 0
+	return len(arena)
 }
 
 // OnFree records a deallocation of ptr. It returns a report when the free
@@ -106,7 +156,11 @@ func (k *KASAN) OnFree(ptr, pc uint32, hart int) *Report {
 	if ptr == 0 {
 		return nil
 	}
-	c, ok := k.chunks[ptr]
+	i, ok := k.chunks[ptr]
+	var c *Chunk
+	if ok {
+		c = &k.arena[i]
+	}
 	switch {
 	case !ok:
 		return &Report{
@@ -128,10 +182,15 @@ func (k *KASAN) OnFree(ptr, pc uint32, hart int) *Report {
 	k.shadow.Poison(c.Addr, c.Size, CodeHeapFree)
 	k.quarantine = append(k.quarantine, ptr)
 	if len(k.quarantine) > k.quarCap {
+		// Shift in place: the backing array never slides, so appends stop
+		// growing it once it holds quarCap+1 entries.
 		evict := k.quarantine[0]
-		k.quarantine = k.quarantine[1:]
-		if ec, ok := k.chunks[evict]; ok && ec.Freed {
+		k.quarantine = k.quarantine[:copy(k.quarantine, k.quarantine[1:])]
+		if ei, ok := k.chunks[evict]; ok && k.arena[ei].Freed {
 			delete(k.chunks, evict)
+			if int(ei) >= k.snapLen {
+				k.dead++
+			}
 			k.touch(evict)
 		}
 	}
@@ -213,8 +272,9 @@ func (k *KASAN) chunkFor(addr uint32) *Chunk {
 	// Chunks are small; probe backwards over plausible base addresses at
 	// granule steps. Bounded scan keeps this O(1) in practice.
 	base := addr &^ (Granularity - 1)
-	for i := uint32(0); i <= 512; i += Granularity {
-		if c, ok := k.chunks[base-i]; ok {
+	for off := uint32(0); off <= 512; off += Granularity {
+		if i, ok := k.chunks[base-off]; ok {
+			c := &k.arena[i]
 			if addr >= c.Addr && addr < c.Addr+c.Size+Granularity {
 				return c
 			}
@@ -228,9 +288,9 @@ func (k *KASAN) chunkFor(addr uint32) *Chunk {
 // attribution).
 func (k *KASAN) nearestChunk(addr uint32) *Chunk {
 	base := addr &^ (Granularity - 1)
-	for i := uint32(0); i <= 256; i += Granularity {
-		if c, ok := k.chunks[base-i]; ok {
-			return c
+	for off := uint32(0); off <= 256; off += Granularity {
+		if i, ok := k.chunks[base-off]; ok {
+			return &k.arena[i]
 		}
 	}
 	return nil
@@ -238,47 +298,47 @@ func (k *KASAN) nearestChunk(addr uint32) *Chunk {
 
 // Snapshot captures engine state and starts a new touched-key window: a
 // later RestoreState rewinds to the most recent Snapshot, and only to it.
+// It compacts the arena, whose entries then all belong to the snapshot.
 func (k *KASAN) Snapshot() *KASANState {
 	k.touched = k.touched[:0]
 	k.snapped = true
-	st := &KASANState{
-		chunks:     make(map[uint32]Chunk, len(k.chunks)),
+	k.snapLen = k.compact(0)
+	return &KASANState{
+		chunks:     maps.Clone(k.chunks),
+		arena:      slices.Clone(k.arena),
 		quarantine: append([]uint32(nil), k.quarantine...),
 		heapLow:    k.heapLow,
 		heapHigh:   k.heapHigh,
 	}
-	for a, c := range k.chunks {
-		st.chunks[a] = *c
-	}
-	return st
 }
 
 // RestoreState rewinds engine state to st, which must be the most recent
-// Snapshot: only the chunk-table keys touched since then (or since the
-// previous RestoreState) are rewound, so the cost follows what one execution
-// allocated and freed, not the size of the heap. Restoring an older
-// snapshot leaves chunks touched before the latest one unrewound.
+// Snapshot. The arena is truncated to its length then, which drops every
+// chunk allocated since, and only the chunk-table keys touched since then
+// (or since the previous RestoreState) are rewound, so the cost follows
+// what one execution allocated and freed, not the size of the heap. An
+// arena entry below the truncation point changes only through its own key,
+// so rewinding the touched keys rewinds those entries too.
 func (k *KASAN) RestoreState(st *KASANState) {
+	k.arena = k.arena[:len(st.arena)]
 	for _, a := range k.touched {
-		c, ok := st.chunks[a]
-		switch cur := k.chunks[a]; {
-		case !ok:
+		if i, ok := st.chunks[a]; ok {
+			k.chunks[a] = i
+			k.arena[i] = st.arena[i]
+		} else {
 			delete(k.chunks, a)
-		case cur != nil:
-			*cur = c
-		default:
-			cc := c
-			k.chunks[a] = &cc
 		}
 	}
 	k.touched = k.touched[:0]
+	k.dead = 0
 	k.quarantine = append(k.quarantine[:0], st.quarantine...)
 	k.heapLow, k.heapHigh = st.heapLow, st.heapHigh
 }
 
 // KASANState is an opaque engine snapshot.
 type KASANState struct {
-	chunks     map[uint32]Chunk
+	chunks     map[uint32]int32
+	arena      []Chunk
 	quarantine []uint32
 	heapLow    uint32
 	heapHigh   uint32
@@ -287,8 +347,8 @@ type KASANState struct {
 // LiveChunks returns the number of live (non-freed) chunks (test hook).
 func (k *KASAN) LiveChunks() int {
 	n := 0
-	for _, c := range k.chunks {
-		if !c.Freed {
+	for _, i := range k.chunks {
+		if !k.arena[i].Freed {
 			n++
 		}
 	}

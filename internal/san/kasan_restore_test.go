@@ -26,6 +26,9 @@ type kasanRestoreCases struct {
 	reallocSnap int // allocation at a key the snapshot holds
 	doubleFree  int
 	invalidFree int
+	// reallocEvicted: after a RestoreState, a key freed and evicted since
+	// is allocated again, which appends into arena slots the restore freed.
+	reallocEvicted int
 }
 
 // runKASANRestore drives one engine through data, two bytes per operation
@@ -48,6 +51,8 @@ func runKASANRestore(t testing.TB, data []byte) kasanRestoreCases {
 		shFull    []byte // a full copy of the shadow taken at its Snapshot
 		wantChunk map[uint32]Chunk
 		wantQuar  []uint32
+		restored  bool                // a RestoreState ran since the last Snapshot
+		evicted   = map[uint32]bool{} // keys evicted since the last restore or snapshot
 	)
 	for i := 0; i+1 < len(data); i += 2 {
 		op, arg := data[i]%6, uint32(data[i+1])
@@ -56,6 +61,9 @@ func runKASANRestore(t testing.TB, data []byte) kasanRestoreCases {
 		case 0, 1:
 			if _, ok := wantChunk[addr]; ok {
 				cases.reallocSnap++
+			}
+			if restored && evicted[addr] {
+				cases.reallocEvicted++
 			}
 			k.OnAlloc(addr, 1+arg%(kasanStride-Granularity), 0x100+arg)
 		case 2:
@@ -66,8 +74,11 @@ func runKASANRestore(t testing.TB, data []byte) kasanRestoreCases {
 			r := k.OnFree(addr, 0x200+arg, 0)
 			switch {
 			case r == nil:
-				if _, held := wantChunk[evict]; held && k.chunks[evict] == nil {
+				if _, held := wantChunk[evict]; held && k.ChunkAt(evict) == nil {
 					cases.evictSnap++
+				}
+				if evict != 0 && k.ChunkAt(evict) == nil {
+					evicted[evict] = true
 				}
 			case r.Bug == BugDoubleFree:
 				cases.doubleFree++
@@ -86,6 +97,7 @@ func runKASANRestore(t testing.TB, data []byte) kasanRestoreCases {
 			sh.Restore()
 			k.RestoreState(st)
 			cases.restores++
+			restored, evicted = true, map[uint32]bool{}
 			if got := chunkValues(k); !reflect.DeepEqual(got, wantChunk) {
 				t.Fatalf("op %d: chunk table after restore\n got %v\nwant %v", i/2, got, wantChunk)
 			}
@@ -101,6 +113,7 @@ func runKASANRestore(t testing.TB, data []byte) kasanRestoreCases {
 			st = k.Snapshot()
 			wantChunk = chunkValues(k)
 			wantQuar = append([]uint32(nil), k.quarantine...)
+			restored, evicted = false, map[uint32]bool{}
 		}
 	}
 	runtime.KeepAlive(sh) // the loop compared its bytes
@@ -110,8 +123,8 @@ func runKASANRestore(t testing.TB, data []byte) kasanRestoreCases {
 // chunkValues copies the chunk table out by value.
 func chunkValues(k *KASAN) map[uint32]Chunk {
 	out := make(map[uint32]Chunk, len(k.chunks))
-	for a, c := range k.chunks {
-		out[a] = *c
+	for a, i := range k.chunks {
+		out[a] = k.arena[i]
 	}
 	return out
 }
@@ -151,17 +164,19 @@ func TestKASANRestoreDifferential(t *testing.T) {
 		total.reallocSnap += c.reallocSnap
 		total.doubleFree += c.doubleFree
 		total.invalidFree += c.invalidFree
+		total.reallocEvicted += c.reallocEvicted
 	}
 	t.Logf("cases: %+v", total)
 	if total.restores == 0 || total.evictSnap == 0 || total.reallocSnap == 0 ||
-		total.doubleFree == 0 || total.invalidFree == 0 {
+		total.doubleFree == 0 || total.invalidFree == 0 || total.reallocEvicted == 0 {
 		t.Errorf("random sequences missed a restore case: %+v", total)
 	}
 }
 
 // kasanRestoreSeed is a hand-written sequence that hits every case once:
 // chunks quarantined before the snapshot are evicted after it, a snapshot
-// key is reallocated, a chunk is freed twice and a non-chunk is freed.
+// key is reallocated (after a restore, once it was evicted), a chunk is
+// freed twice and a non-chunk is freed.
 func kasanRestoreSeed() []byte {
 	var d []byte
 	for s := 0; s < 4; s++ {
@@ -185,7 +200,7 @@ func kasanRestoreSeed() []byte {
 
 func TestKASANRestoreSeedCases(t *testing.T) {
 	c := runKASANRestore(t, kasanRestoreSeed())
-	want := kasanRestoreCases{restores: 3, evictSnap: 6, reallocSnap: 3, doubleFree: 3, invalidFree: 6}
+	want := kasanRestoreCases{restores: 3, evictSnap: 6, reallocSnap: 3, doubleFree: 3, invalidFree: 6, reallocEvicted: 2}
 	if c != want {
 		t.Errorf("seed sequence cases = %+v, want %+v", c, want)
 	}
@@ -198,4 +213,41 @@ func FuzzKASANRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runKASANRestore(t, data)
 	})
+}
+
+// TestKASANArenaCompacts runs long allocate/free sequences without a restore,
+// before and after a Snapshot: the arena stays bounded by its live chunks,
+// every key keeps naming its own chunk, and a restore still rewinds exactly.
+func TestKASANArenaCompacts(t *testing.T) {
+	const slots = 64
+	k := NewKASAN(NewShadow(1<<16), 4)
+	k.NoteHeapRegion(kasanHeap, kasanHeap+slots*kasanStride)
+	churn := func(rounds int) {
+		for r := 0; r < rounds; r++ {
+			for s := uint32(0); s < slots; s++ {
+				a := kasanHeap + s*kasanStride
+				k.OnAlloc(a, 16, uint32(r))
+				k.OnFree(a, 0x200, 0)
+			}
+		}
+		if bound := k.snapLen + 2*compactDead + slots; len(k.arena) > bound {
+			t.Fatalf("arena holds %d entries, bound %d", len(k.arena), bound)
+		}
+		for a, i := range k.chunks {
+			if k.arena[i].Addr != a {
+				t.Fatalf("key %#x names the chunk at %#x", a, k.arena[i].Addr)
+			}
+		}
+	}
+	churn(40)
+	k.OnAlloc(kasanHeap, 8, 1)
+	want := chunkValues(k)
+	st := k.Snapshot()
+	for cycle := 0; cycle < 3; cycle++ {
+		churn(40)
+		k.RestoreState(st)
+		if got := chunkValues(k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cycle %d: chunk table after restore differs from the snapshot", cycle)
+		}
+	}
 }

@@ -59,7 +59,9 @@ type Runtime struct {
 	// guard every unsuppressed site.
 	armed bool
 
-	pending map[pendKey][]pendingAlloc
+	// pending holds a stack of in-flight allocator calls per hart and
+	// allocator entry, in first-use order: a handful, found by a scan.
+	pending []pendStack
 
 	reports []*Report
 	seen    map[string]bool
@@ -90,6 +92,23 @@ type pendingAlloc struct {
 	ra   uint32
 }
 
+type pendStack struct {
+	key pendKey
+	st  []pendingAlloc
+}
+
+// pendingFor returns the stack for k, adding an empty one on first use.
+// The pointer is valid until the next call.
+func (rt *Runtime) pendingFor(k pendKey) *[]pendingAlloc {
+	for i := range rt.pending {
+		if rt.pending[i].key == k {
+			return &rt.pending[i].st
+		}
+	}
+	rt.pending = append(rt.pending, pendStack{key: k})
+	return &rt.pending[len(rt.pending)-1].st
+}
+
 // Attach builds the runtime from the DSL artefacts and hooks it into the
 // machine: probes are inserted into the translation templates, function
 // interception points become PC hooks, and (for EMBSAN-C firmware) the
@@ -99,10 +118,9 @@ func Attach(m *emu.Machine, opts Options) (*Runtime, error) {
 		return nil, fmt.Errorf("san: no sanitizer specification")
 	}
 	rt := &Runtime{
-		m:       m,
-		opts:    opts,
-		pending: make(map[pendKey][]pendingAlloc),
-		seen:    make(map[string]bool),
+		m:    m,
+		opts: opts,
+		seen: make(map[string]bool),
 	}
 
 	wantsKASAN := false
@@ -199,8 +217,8 @@ func Attach(m *emu.Machine, opts Options) (*Runtime, error) {
 					rt.trace.Emit(obs.Event{ICnt: m.ICount(), PC: key, Arg: size,
 						Kind: obs.EvAllocEnter, Hart: uint8(h.ID)})
 				}
-				pk := pendKey{h.ID, key}
-				rt.pending[pk] = append(rt.pending[pk], pendingAlloc{
+				st := rt.pendingFor(pendKey{h.ID, key})
+				*st = append(*st, pendingAlloc{
 					size: size,
 					ra:   h.Regs[isa.RegRA],
 				})
@@ -210,13 +228,12 @@ func Attach(m *emu.Machine, opts Options) (*Runtime, error) {
 					if !rt.enabled {
 						return
 					}
-					pk := pendKey{h.ID, key}
-					st := rt.pending[pk]
-					if len(st) == 0 {
+					st := rt.pendingFor(pendKey{h.ID, key})
+					if len(*st) == 0 {
 						return
 					}
-					p := st[len(st)-1]
-					rt.pending[pk] = st[:len(st)-1]
+					p := (*st)[len(*st)-1]
+					*st = (*st)[:len(*st)-1]
 					if rt.trace != nil {
 						if rt.trace.Emit(obs.Event{ICnt: m.ICount(), PC: key, Addr: h.Regs[retReg],
 							Arg: p.size, Kind: obs.EvAllocExit, Hart: uint8(h.ID)}) {
@@ -631,7 +648,10 @@ func (rt *Runtime) Restore() {
 	rt.enabled = rt.enabledAtSnap
 	rt.reports = nil
 	clear(rt.seen)
-	clear(rt.pending)
+	// Empty every allocator-hook stack but keep its array for the next exec.
+	for i := range rt.pending {
+		rt.pending[i].st = rt.pending[i].st[:0]
+	}
 }
 
 // ConvertNative translates in-guest sanitizer reports (SanDev) into the
