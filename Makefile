@@ -34,7 +34,8 @@ lint:
 
 # Observability checks: trace a registry firmware end to end (the exporter
 # validates its own Chrome trace_event output and two runs must be
-# byte-identical), prove the off path allocates nothing, and run the paired
+# byte-identical), prove the off path allocates nothing, pin the engine's
+# instrument names (perfbench reads them by name), and run the paired
 # traced/untraced campaign comparison (identical outcomes, phase columns
 # only when asked for).
 obs-check:
@@ -48,6 +49,7 @@ obs-check:
 	echo "obs-check: trace output is byte-reproducible"
 	$(GO) test ./internal/obs -run 'TestEmitZeroAlloc|TestChromeTraceExport' -count 1
 	$(GO) test ./internal/obs/timeline -run TestAdvanceZeroAlloc -count 1
+	$(GO) test ./internal/emu -run TestInstrumentNames -count 1
 	$(GO) test ./internal/exps -run 'TestTraceOffIsNoop|TestTimelineOffIsNoop' -count 1
 
 # Allocation gate: once a campaign is warm, one exec (Restore, Exec of an

@@ -105,8 +105,8 @@ func BenchmarkParallelCampaigns(b *testing.B) {
 			}
 			for _, c := range cs {
 				execsDone += uint64(c.Stats.Execs)
-				chainHits += c.Engine.ChainHits
-				transfers += c.Engine.ChainHits + c.Engine.Dispatches
+				chainHits += c.Engine["emu.chain.hits"]
+				transfers += c.Engine["emu.chain.hits"] + c.Engine["emu.dispatch.entries"]
 			}
 		}
 		sec := b.Elapsed().Seconds()

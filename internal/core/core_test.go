@@ -278,9 +278,9 @@ func TestInlineCheckArmedByNew(t *testing.T) {
 			if got := inst.EnableInlineFastPath(nil); got != tc.armed {
 				t.Fatalf("EnableInlineFastPath() = %v, want %v", got, tc.armed)
 			}
-			c := inst.Machine.Counters()
-			if tc.armed != (c.InlineFast > 0) {
-				t.Errorf("armed=%v but InlineFast=%d", tc.armed, c.InlineFast)
+			fast := inst.Machine.Metrics().Counts()["emu.inline.fast"]
+			if tc.armed != (fast > 0) {
+				t.Errorf("armed=%v but InlineFast=%d", tc.armed, fast)
 			}
 
 			ref, refRes := run(true)
@@ -294,17 +294,18 @@ func TestInlineCheckArmedByNew(t *testing.T) {
 				ref.Runtime.KASANEngine().Shadow().Bytes()) {
 				t.Error("shadow diverged from NoInlineCheck")
 			}
-			if rc := ref.Machine.Counters(); rc.InlineFast+rc.InlineSlow != 0 {
+			if rc := ref.Machine.Metrics().Counts(); rc["emu.inline.fast"]+rc["emu.inline.slow"] != 0 {
 				t.Errorf("NoInlineCheck deployment ran armed steps: %+v", rc)
 			}
 
 			// A repeat of the same input on the warm cache translates nothing,
 			// EnableInlineFastPath or not.
-			misses := inst.Machine.Counters().TBMisses
+			misses := inst.Machine.Metrics().Counter("emu.tb.misses")
+			before := misses.Value()
 			inst.EnableInlineFastPath(nil)
 			inst.Restore()
 			inst.Exec([]byte{1}, 10_000_000)
-			if d := inst.Machine.Counters().TBMisses - misses; d != 0 {
+			if d := misses.Value() - before; d != 0 {
 				t.Errorf("repeat after EnableInlineFastPath translated %d blocks", d)
 			}
 		})

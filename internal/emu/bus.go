@@ -88,7 +88,7 @@ type bus struct {
 	devices []Device
 
 	// MMIO dispatch accounting (accesses that reached a device), surfaced
-	// as Counters.DeviceReads/DeviceWrites.
+	// as emu.mmio.reads/emu.mmio.writes.
 	devReads, devWrites *obs.Counter
 }
 

@@ -1,10 +1,12 @@
 package emu
 
 import (
+	"maps"
 	"testing"
 
 	"embsan/internal/isa"
 	"embsan/internal/kasm"
+	"embsan/internal/obs"
 )
 
 // chainLoopImage builds the canonical chaining workload: a counted loop whose
@@ -49,22 +51,22 @@ func TestChainingEquivalenceAndCounters(t *testing.T) {
 	if fast.ICount() != slow.ICount() {
 		t.Errorf("icnt diverged: fast %d, slow %d", fast.ICount(), slow.ICount())
 	}
-	fc, sc := fast.Counters(), slow.Counters()
-	if fc.ChainHits == 0 {
+	fc, sc := fast.Metrics().Counts(), slow.Metrics().Counts()
+	if fc["emu.chain.hits"] == 0 {
 		t.Error("chained run followed no exit links")
 	}
-	if sc.ChainHits != 0 {
-		t.Errorf("NoChain run followed %d exit links", sc.ChainHits)
+	if sc["emu.chain.hits"] != 0 {
+		t.Errorf("NoChain run followed %d exit links", sc["emu.chain.hits"])
 	}
 	// ~5000 block transfers: unchained, each is a dispatcher entry; chained,
 	// only quantum boundaries (64 insts apart) re-enter the dispatcher.
-	if fc.Dispatches*10 > sc.Dispatches {
+	if fc["emu.dispatch.entries"]*10 > sc["emu.dispatch.entries"] {
 		t.Errorf("chaining barely moved dispatch count: %d chained vs %d unchained",
-			fc.Dispatches, sc.Dispatches)
+			fc["emu.dispatch.entries"], sc["emu.dispatch.entries"])
 	}
-	if fc.ChainHits+fc.Dispatches != sc.Dispatches {
+	if fc["emu.chain.hits"]+fc["emu.dispatch.entries"] != sc["emu.dispatch.entries"] {
 		t.Errorf("block transfers not conserved: %d chained + %d dispatched != %d unchained dispatches",
-			fc.ChainHits, fc.Dispatches, sc.Dispatches)
+			fc["emu.chain.hits"], fc["emu.dispatch.entries"], sc["emu.dispatch.entries"])
 	}
 }
 
@@ -97,8 +99,9 @@ func TestCoincidingSuccessorsShareLink(t *testing.T) {
 	if r := m.Run(0); r != StopExit {
 		t.Fatalf("stop=%v", r)
 	}
-	if c := m.Counters(); c.Dispatches != 5 || c.ChainHits == 0 {
-		t.Errorf("dispatches=%d chain hits=%d, want 5 dispatches and chained iterations", c.Dispatches, c.ChainHits)
+	if c := m.Metrics().Counts(); c["emu.dispatch.entries"] != 5 || c["emu.chain.hits"] == 0 {
+		t.Errorf("dispatches=%d chain hits=%d, want 5 dispatches and chained iterations",
+			c["emu.dispatch.entries"], c["emu.chain.hits"])
 	}
 }
 
@@ -123,8 +126,8 @@ func TestChainSurvivesRestore(t *testing.T) {
 	m := newMachine(t, img)
 	m.ReadyHook = func(m *Machine) { m.Snapshot() }
 
-	deltas := make([]Counters, 3)
-	var prev Counters
+	deltas := make([]obs.Counts, 3)
+	var prev obs.Counts
 	for run := 0; run < 3; run++ {
 		if run > 0 {
 			m.Restore()
@@ -132,26 +135,27 @@ func TestChainSurvivesRestore(t *testing.T) {
 		if r := m.Run(0); r != StopExit || m.ExitCode() != 2000 {
 			t.Fatalf("run %d: stop=%v exit=%d", run, r, m.ExitCode())
 		}
-		cur := m.Counters()
+		cur := m.Metrics().Counts()
 		deltas[run] = cur.Sub(prev)
 		prev = cur
 	}
-	if deltas[0].ChainHits == 0 {
+	if deltas[0]["emu.chain.hits"] == 0 {
 		t.Fatal("no chaining installed on the first run")
 	}
 	// Warm replays must be in steady state: identical accounting run to run.
-	if d1, d2 := deltas[1], deltas[2]; d1.ChainHits != d2.ChainHits || d1.Dispatches != d2.Dispatches {
+	if d1, d2 := deltas[1], deltas[2]; d1["emu.chain.hits"] != d2["emu.chain.hits"] ||
+		d1["emu.dispatch.entries"] != d2["emu.dispatch.entries"] {
 		t.Errorf("warm replays diverged: run1 chain=%d dispatch=%d, run2 chain=%d dispatch=%d",
-			d1.ChainHits, d1.Dispatches, d2.ChainHits, d2.Dispatches)
+			d1["emu.chain.hits"], d1["emu.dispatch.entries"], d2["emu.chain.hits"], d2["emu.dispatch.entries"])
 	}
 	// Links installed on run 0 must carry over: a replay re-dispatches at
 	// most through quantum boundaries already primed in the jump cache, so
 	// it resolves strictly fewer transfers through the dispatcher map.
-	if deltas[1].Dispatches >= deltas[0].Dispatches {
+	if deltas[1]["emu.dispatch.entries"] >= deltas[0]["emu.dispatch.entries"] {
 		t.Errorf("replay dispatched %d >= first run's %d — links did not survive Restore",
-			deltas[1].Dispatches, deltas[0].Dispatches)
+			deltas[1]["emu.dispatch.entries"], deltas[0]["emu.dispatch.entries"])
 	}
-	if deltas[1].ChainHits == 0 {
+	if deltas[1]["emu.chain.hits"] == 0 {
 		t.Error("replay ran unchained")
 	}
 }
@@ -167,7 +171,7 @@ func TestHookOnChainedTB(t *testing.T) {
 	if r := m.Run(1000); r != StopBudget {
 		t.Fatalf("stop=%v", r)
 	}
-	if m.Counters().ChainHits == 0 {
+	if m.Metrics().Counts()["emu.chain.hits"] == 0 {
 		t.Fatal("loop did not chain")
 	}
 	loopPC := m.CurrentHart().PC // mid-loop: the body is the live chained block
@@ -221,7 +225,7 @@ func TestSelfModifyingChainTarget(t *testing.T) {
 	if r := m.Run(600); r != StopBudget { // mid-loop, chains installed
 		t.Fatalf("stop=%v", r)
 	}
-	if m.Counters().ChainHits == 0 {
+	if m.Metrics().Counts()["emu.chain.hits"] == 0 {
 		t.Fatal("loop did not chain before the patch")
 	}
 	patched, err := isa.Encode(isa.Inst{Op: isa.OpADDI, Rd: rA0, Rs1: rA0, Imm: 2}, isa.ArchARM32E)
@@ -318,7 +322,7 @@ func padImage(t *testing.T) *kasm.Image {
 
 // TestCountersDependOnlyOnOwnRun: each machine translates its own code, so
 // two machines built from one image and run the same way report equal
-// Counters in every field, whichever of them ran first. Inline arming is
+// counter snapshots, whichever of them ran first. Inline arming is
 // per machine too: armed, unarmed, quiet and poisoned runs each delegate
 // exactly the accesses their own site policy calls for.
 func TestCountersDependOnlyOnOwnRun(t *testing.T) {
@@ -341,7 +345,7 @@ func TestCountersDependOnlyOnOwnRun(t *testing.T) {
 		t.Errorf("second machine diverged: exit %d/%d icnt %d/%d",
 			m1.ExitCode(), m2.ExitCode(), m1.ICount(), m2.ICount())
 	}
-	if c1, c2 := m1.Counters(), m2.Counters(); c1 != c2 {
+	if c1, c2 := m1.Metrics().Counts(), m2.Metrics().Counts(); !maps.Equal(c1, c2) {
 		t.Errorf("counters depend on another machine's run:\n first  %+v\n second %+v", c1, c2)
 	}
 
@@ -357,7 +361,7 @@ func TestCountersDependOnlyOnOwnRun(t *testing.T) {
 		}
 		return SiteInline
 	}
-	run := func(name string, shadow *Memory, policy func(uint32) Site, wantCalls int) Counters {
+	run := func(name string, shadow *Memory, policy func(uint32) Site, wantCalls int) obs.Counts {
 		t.Helper()
 		m := newMachine(t, img)
 		calls := 0
@@ -376,14 +380,14 @@ func TestCountersDependOnlyOnOwnRun(t *testing.T) {
 		if calls != wantCalls {
 			t.Errorf("%s: %d delegate calls at the store, want %d", name, calls, wantCalls)
 		}
-		return m.Counters()
+		return m.Metrics().Counts()
 	}
 	run("armed", &clean, inline, 0)
-	if c := run("unarmed", nil, nil, 300); c.InlineFast+c.InlineSlow != 0 {
-		t.Errorf("unarmed machine ran armed steps: inline fast=%d slow=%d", c.InlineFast, c.InlineSlow)
+	if c := run("unarmed", nil, nil, 300); c["emu.inline.fast"]+c["emu.inline.slow"] != 0 {
+		t.Errorf("unarmed machine ran armed steps: inline fast=%d slow=%d", c["emu.inline.fast"], c["emu.inline.slow"])
 	}
 	first := run("armed+quiet", &poisoned, quietStore, 0)
-	if again := run("armed+quiet again", &poisoned, quietStore, 0); again != first {
+	if again := run("armed+quiet again", &poisoned, quietStore, 0); !maps.Equal(again, first) {
 		t.Errorf("identically armed machines counted differently:\n first  %+v\n second %+v", first, again)
 	}
 	run("armed, poisoned", &poisoned, inline, 300)
@@ -442,13 +446,13 @@ func TestInlineFastPathCounters(t *testing.T) {
 	if r := m2.Run(0); r != StopExit {
 		t.Fatalf("m2: stop=%v", r)
 	}
-	c2 := m2.Counters()
-	if calls2 != 0 || c2.InlineFast != 200 || c2.InlineSlow != 0 {
+	c2 := m2.Metrics().Counts()
+	if calls2 != 0 || c2["emu.inline.fast"] != 200 || c2["emu.inline.slow"] != 0 {
 		t.Errorf("clean shadow: delegate calls=%d inlineFast=%d inlineSlow=%d, want 0/200/0",
-			calls2, c2.InlineFast, c2.InlineSlow)
+			calls2, c2["emu.inline.fast"], c2["emu.inline.slow"])
 	}
-	if c2.MemProbes != m1.Counters().MemProbes {
-		t.Errorf("dispatch accounting diverged: %d vs %d probes", c2.MemProbes, m1.Counters().MemProbes)
+	if p1 := m1.Metrics().Counts()["emu.mem.probes"]; c2["emu.mem.probes"] != p1 {
+		t.Errorf("dispatch accounting diverged: %d vs %d probes", c2["emu.mem.probes"], p1)
 	}
 
 	// Poisoned granule: every armed dispatch must fall back to the delegate.
@@ -465,10 +469,10 @@ func TestInlineFastPathCounters(t *testing.T) {
 	if r := m3.Run(0); r != StopExit {
 		t.Fatalf("m3: stop=%v", r)
 	}
-	c3 := m3.Counters()
-	if calls3 != 200 || c3.InlineFast != 0 || c3.InlineSlow != 200 {
+	c3 := m3.Metrics().Counts()
+	if calls3 != 200 || c3["emu.inline.fast"] != 0 || c3["emu.inline.slow"] != 200 {
 		t.Errorf("poisoned shadow: delegate calls=%d inlineFast=%d inlineSlow=%d, want 200/0/200",
-			calls3, c3.InlineFast, c3.InlineSlow)
+			calls3, c3["emu.inline.fast"], c3["emu.inline.slow"])
 	}
 
 	// Probes replaced after arming: the policy vouched only for the old
@@ -484,9 +488,9 @@ func TestInlineFastPathCounters(t *testing.T) {
 	if r := m4.Run(0); r != StopExit {
 		t.Fatalf("m4: stop=%v", r)
 	}
-	if c4 := m4.Counters(); calls4 != 200 || c4.InlineFast != 0 {
+	if c4 := m4.Metrics().Counts(); calls4 != 200 || c4["emu.inline.fast"] != 0 {
 		t.Errorf("probes replaced after arming: delegate calls=%d inlineFast=%d, want 200/0",
-			calls4, c4.InlineFast)
+			calls4, c4["emu.inline.fast"])
 	}
 }
 
@@ -568,13 +572,13 @@ func TestSitePolicyTable(t *testing.T) {
 			if r := m.Run(0); r != StopExit {
 				t.Fatalf("%s/%d: stop=%v", tc.kind, tc.state, r)
 			}
-			c := m.Counters()
-			other := c.SanckTraps
-			got.probes = c.MemProbes
+			c := m.Metrics().Counts()
+			other := c["emu.sanck.traps"]
+			got.probes = c["emu.mem.probes"]
 			if !k.mem {
-				other, got.probes = c.MemProbes, c.SanckTraps
+				other, got.probes = c["emu.mem.probes"], c["emu.sanck.traps"]
 			}
-			got.fast, got.slow = c.InlineFast, c.InlineSlow
+			got.fast, got.slow = c["emu.inline.fast"], c["emu.inline.slow"]
 			if got != tc.want || other != 0 {
 				t.Errorf("%s/%d: got %+v (other probe class %d), want %+v", tc.kind, tc.state, got, other, tc.want)
 			}

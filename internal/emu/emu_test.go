@@ -600,9 +600,10 @@ func TestCoverageHook(t *testing.T) {
 		}
 	}
 	m.Run(0)
-	if c := m.Counters(); c.ChainHits+c.Dispatches <= uint64(len(pcs)) {
+	c := m.Metrics().Counts()
+	if entries := c["emu.chain.hits"] + c["emu.dispatch.entries"]; entries <= uint64(len(pcs)) {
 		t.Fatalf("premise: %d block entries for %d blocks, the loop never re-entered one",
-			c.ChainHits+c.Dispatches, len(pcs))
+			entries, len(pcs))
 	}
 	want(1)
 	m.Restore()

@@ -162,8 +162,8 @@ func FuzzChainedExecution(f *testing.F) {
 		plainCfg.NoChain = true
 		plain := run(plainCfg)
 		sameOutcome(t, "NoChain", chained, plain)
-		if plain.Counters().ChainHits != 0 {
-			t.Fatalf("NoChain engine followed %d exit links", plain.Counters().ChainHits)
+		if hits := plain.Metrics().Counts()["emu.chain.hits"]; hits != 0 {
+			t.Fatalf("NoChain engine followed %d exit links", hits)
 		}
 		uncachedCfg := base
 		uncachedCfg.NoTBCache = true

@@ -218,58 +218,6 @@ type machineCounters struct {
 	devReads, devWrites          *obs.Counter
 }
 
-// Counters is a point-in-time snapshot of the machine's runtime accounting:
-// translation-block cache behaviour, snapshot restores and sanitizer
-// dispatches. The campaign scheduler diffs these to attribute work to its
-// pool workers; the live values are named instruments in Metrics().
-type Counters struct {
-	TBHits     uint64 // translation blocks served from the cache
-	TBMisses   uint64 // translation blocks decoded fresh
-	TransInsts uint64 // instructions decoded while translating (translate-phase work)
-	Restores   uint64 // snapshot restores performed
-	// RestorePages counts dirty pages copied back by restores — the
-	// snapshot-phase virtual work unit of the campaign phase breakdown.
-	RestorePages uint64
-
-	// Sanitizer dispatch accounting, split by instrumentation mode.
-	SanckTraps uint64 // SANCK instructions dispatched to the Sanck probe
-	MemProbes  uint64 // accesses dispatched to the Mem probe
-
-	// Fast-path accounting. Dispatches counts dispatcher entries (tbFor
-	// calls); ChainHits counts block transfers that followed a patched exit
-	// link instead. InlineFast/InlineSlow split dispatches at armed sites by
-	// whether the in-template check settled them.
-	Dispatches uint64
-	ChainHits  uint64
-	InlineFast uint64
-	InlineSlow uint64
-
-	// MMIO dispatch accounting: data accesses that reached a device (the
-	// platform peripherals or any Config.Devices extra).
-	DeviceReads  uint64
-	DeviceWrites uint64
-}
-
-// Sub returns the field-wise difference c-o: the accounting accumulated
-// between two snapshots.
-func (c Counters) Sub(o Counters) Counters {
-	return Counters{
-		TBHits:       c.TBHits - o.TBHits,
-		TBMisses:     c.TBMisses - o.TBMisses,
-		TransInsts:   c.TransInsts - o.TransInsts,
-		Restores:     c.Restores - o.Restores,
-		RestorePages: c.RestorePages - o.RestorePages,
-		SanckTraps:   c.SanckTraps - o.SanckTraps,
-		MemProbes:    c.MemProbes - o.MemProbes,
-		Dispatches:   c.Dispatches - o.Dispatches,
-		ChainHits:    c.ChainHits - o.ChainHits,
-		InlineFast:   c.InlineFast - o.InlineFast,
-		InlineSlow:   c.InlineSlow - o.InlineSlow,
-		DeviceReads:  c.DeviceReads - o.DeviceReads,
-		DeviceWrites: c.DeviceWrites - o.DeviceWrites,
-	}
-}
-
 // New creates a machine and loads the firmware image.
 func New(img *kasm.Image, cfg Config) (*Machine, error) {
 	if cfg.RAMSize == 0 {
@@ -406,27 +354,8 @@ func (m *Machine) ICount() uint64 { return m.icnt }
 // RAMSize returns the machine's RAM size.
 func (m *Machine) RAMSize() uint32 { return m.cfg.RAMSize }
 
-// Counters returns a snapshot of the accumulated runtime accounting.
-func (m *Machine) Counters() Counters {
-	return Counters{
-		TBHits:       m.ctr.tbHits.Value(),
-		TBMisses:     m.ctr.tbMisses.Value(),
-		TransInsts:   m.ctr.transInsts.Value(),
-		Restores:     m.ctr.restores.Value(),
-		RestorePages: m.ctr.restorePages.Value(),
-		SanckTraps:   m.ctr.sanckTraps.Value(),
-		MemProbes:    m.ctr.memProbes.Value(),
-		Dispatches:   m.ctr.dispatches.Value(),
-		ChainHits:    m.ctr.chainHits.Value(),
-		InlineFast:   m.ctr.inlineFast.Value(),
-		InlineSlow:   m.ctr.inlineSlow.Value(),
-		DeviceReads:  m.ctr.devReads.Value(),
-		DeviceWrites: m.ctr.devWrites.Value(),
-	}
-}
-
-// Metrics returns the machine's instrument registry (named counters backing
-// the Counters snapshot).
+// Metrics returns the machine's instrument registry: the engine's work
+// counts, read by name (see Registry.Counts for snapshots and deltas).
 func (m *Machine) Metrics() *obs.Registry { return m.metrics }
 
 // SetTrace attaches (or, with nil, detaches) a virtual-time event ring. The

@@ -81,9 +81,10 @@ func ramRig(t *testing.T) *rewindRig {
 		},
 		snapshot: m.Snapshot,
 		restore: func() int {
-			before := m.Counters().RestorePages
+			pages := m.Metrics().Counter("emu.snapshot.restore_pages")
+			before := pages.Value()
 			m.Restore()
-			return int(m.Counters().RestorePages - before)
+			return int(pages.Value() - before)
 		},
 	}
 }

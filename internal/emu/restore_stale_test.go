@@ -148,21 +148,21 @@ func TestRestoreKeepsTextOnDataStore(t *testing.T) {
 	m := newMachine(t, img)
 	m.ReadyHook = func(m *Machine) { m.Snapshot() }
 	for run := 0; run < 3; run++ {
-		before := m.Counters()
+		before := m.Metrics().Counts()
 		if run > 0 {
 			m.Restore()
 		}
 		if r := m.Run(0); r != StopExit || m.ExitCode() != 20 {
 			t.Fatalf("run %d: stop=%v exit=%d", run, r, m.ExitCode())
 		}
-		d := m.Counters().Sub(before)
+		d := m.Metrics().Counts().Sub(before)
 		if run == 2 {
-			if d.RestorePages == 0 {
+			if d["emu.snapshot.restore_pages"] == 0 {
 				t.Fatal("premise: the data store dirtied no page")
 			}
-			if d.TBMisses != 0 || d.Dispatches != 0 {
+			if d["emu.tb.misses"] != 0 || d["emu.dispatch.entries"] != 0 {
 				t.Errorf("after a data-only Restore: %d TB misses, %d dispatches, want 0 and 0",
-					d.TBMisses, d.Dispatches)
+					d["emu.tb.misses"], d["emu.dispatch.entries"])
 			}
 		}
 	}

@@ -5,9 +5,9 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"time"
 
 	"embsan/internal/core"
-	"embsan/internal/emu"
 	"embsan/internal/fuzz"
 	"embsan/internal/guest/firmware"
 	"embsan/internal/obs"
@@ -106,14 +106,18 @@ type Campaign struct {
 	TraceDropped uint64
 	Phases       obs.Phases
 
-	// Engine is the machine-counter delta accumulated by this campaign:
-	// dispatch, chaining and inline accounting included. Like Phases it is
-	// a worker-local diagnostic (the translation fields depend on how warm
-	// the pooled machine's TB cache was, unless Timeline flushed it) and
-	// participates in no campaign-result comparison; the fast-path oracles
-	// read it to check which paths engaged, and Phases and the worker
-	// counters are derived from it.
-	Engine emu.Counters
+	// Engine is the delta of the machine's registry counters over this
+	// campaign, by instrument name ("emu.tb.hits", "emu.chain.hits", ...).
+	// Like Phases it is a worker-local diagnostic: the translation counts
+	// depend on how warm the pooled machine's TB cache was, unless Timeline
+	// flushed it, and the snapshot pages on what the machine ran before.
+	// It participates in no campaign-result comparison; the fast-path
+	// oracles read it to check which paths engaged, and Phases and the
+	// worker table are derived from it.
+	Engine obs.Counts
+	// Worker is the scheduler worker that ran the campaign (0 on the
+	// serial path), like san.Report.Worker. It keys the worker table only.
+	Worker int
 
 	// Timeline extras, populated when CampaignOptions.Timeline asks for
 	// them. Unlike Phases these DO uphold the determinism contract: the
@@ -225,7 +229,7 @@ func (w *warmed) runOne(fw *firmware.Firmware, seed int64, execs int) (*Campaign
 // runX is runOne with observability extras attached.
 func (w *warmed) runX(fw *firmware.Firmware, seed int64, execs int, x runExtras) (*Campaign, error) {
 	inst := w.inst
-	before := inst.Machine.Counters()
+	before := inst.Machine.Metrics().Counts()
 	inst.Restore()
 	inst.Machine.Reseed(uint64(seed))
 	if x.tl != nil {
@@ -265,7 +269,7 @@ func (w *warmed) runX(fw *firmware.Firmware, seed int64, execs int, x runExtras)
 	res := f.Run()
 
 	c := &Campaign{Firmware: fw, Stats: res.Stats, Corpus: res.Corpus, Raw: res,
-		Engine: inst.Machine.Counters().Sub(before)}
+		Engine: inst.Machine.Metrics().Counts().Sub(before)}
 	if x.tl != nil {
 		c.Timeline = x.tl.Samples()
 		c.TimelineMarks = x.tl.Marks()
@@ -413,26 +417,16 @@ func RunCampaignSet(fws []*firmware.Firmware, opts CampaignOptions) (*CampaignRu
 		}
 		if opts.Trace || opts.Metrics {
 			c.Phases = obs.Phases{
-				Translate: c.Engine.TransInsts,
+				Translate: c.Engine["emu.translate.insts"],
 				Execute:   c.Stats.Insts,
-				Sanitize:  c.Engine.SanckTraps + c.Engine.MemProbes,
-				Snapshot:  c.Engine.RestorePages,
+				Sanitize:  c.Engine["emu.sanck.traps"] + c.Engine["emu.mem.probes"],
+				Snapshot:  c.Engine["emu.snapshot.restore_pages"],
 			}
 		}
+		c.Worker = w.ID()
 		for _, crash := range c.Raw.Crashes {
 			if crash.Report != nil {
 				crash.Report.Worker = w.ID()
-			}
-		}
-		ctr := w.Inst()
-		ctr.Jobs.Inc()
-		ctr.Execs.Add(uint64(c.Stats.Execs))
-		ctr.Resets.Add(c.Engine.Restores)
-		ctr.TBHits.Add(c.Engine.TBHits)
-		ctr.Reports.Add(uint64(len(c.Raw.Crashes)))
-		for _, crash := range c.Raw.Crashes {
-			if r := crash.Report; r != nil {
-				ctr.Frames.Add(uint64(len(r.Stack) + len(r.AllocStack) + len(r.FreeStack)))
 			}
 		}
 		if m := opts.Monitor; m != nil {
@@ -559,7 +553,8 @@ func MaskWallClock(s string) string {
 }
 
 // FormatCampaignStats summarises fuzzing effort, and — when the campaigns
-// ran on the parallel executor — the per-worker pool accounting. When any
+// ran on the parallel executor — the per-worker pool accounting, folded
+// from the campaigns each worker ran (Campaign.Worker and Engine). When any
 // campaign carries a virtual-time phase breakdown (CampaignOptions.Trace or
 // .Metrics), per-phase columns are appended; when any campaign carries a
 // sampled timeline, a stall@ column reports the virtual clock of its first
@@ -613,18 +608,56 @@ func FormatCampaignStats(cs []*Campaign, workers ...sched.WorkerStats) string {
 	if len(workers) > 0 {
 		fmt.Fprintf(&b, "\nWorker pool (%d workers):\n", len(workers))
 		fmt.Fprintf(&b, "%-8s %9s %10s %9s %12s %8s %10s\n", "worker", "jobs", "execs", "resets", "tb-hits", "reports", "execs/s")
-		rate := func(c sched.Counters) string {
-			if c.Elapsed <= 0 {
-				return "-/s"
-			}
-			return fmt.Sprintf("%.1f/s", float64(c.Execs)/c.Elapsed.Seconds())
-		}
-		for _, w := range workers {
+		rows, t := foldWorkers(cs, workers)
+		for i, r := range rows {
 			fmt.Fprintf(&b, "%-8d %9d %10d %9d %12d %8d %10s\n",
-				w.Worker, w.Jobs, w.Execs, w.Resets, w.TBHits, w.Reports, rate(w.Counters))
+				workers[i].Worker, r.jobs, r.execs, r.resets, r.tbHits, r.reports, r.rate())
 		}
-		t := sched.MergeStats(workers)
-		fmt.Fprintf(&b, "%-8s %9d %10d %9d %12d %8d %10s\n", "total", t.Jobs, t.Execs, t.Resets, t.TBHits, t.Reports, rate(t))
+		fmt.Fprintf(&b, "%-8s %9d %10d %9d %12d %8d %10s\n", "total", t.jobs, t.execs, t.resets, t.tbHits, t.reports, t.rate())
 	}
 	return b.String()
+}
+
+// workerRow is one line of the worker table.
+type workerRow struct {
+	jobs                           int
+	execs, resets, tbHits, reports uint64
+	elapsed                        time.Duration
+}
+
+func (r workerRow) rate() string {
+	if r.elapsed <= 0 {
+		return "-/s"
+	}
+	return fmt.Sprintf("%.1f/s", float64(r.execs)/r.elapsed.Seconds())
+}
+
+// foldWorkers sums the campaigns each worker ran into one row per worker,
+// in the order of ws, and a total row. The total's elapsed time is the
+// longest worker's — the pool's makespan — because the workers ran
+// concurrently.
+func foldWorkers(cs []*Campaign, ws []sched.WorkerStats) ([]workerRow, workerRow) {
+	rows := make([]workerRow, len(ws))
+	var total workerRow
+	for i, w := range ws {
+		r := &rows[i]
+		r.elapsed = w.Elapsed
+		for _, c := range cs {
+			if c.Worker != w.Worker {
+				continue
+			}
+			r.jobs++
+			r.execs += uint64(c.Stats.Execs)
+			r.resets += c.Engine["emu.snapshot.restores"]
+			r.tbHits += c.Engine["emu.tb.hits"]
+			r.reports += uint64(len(c.Raw.Crashes))
+		}
+		total.jobs += r.jobs
+		total.execs += r.execs
+		total.resets += r.resets
+		total.tbHits += r.tbHits
+		total.reports += r.reports
+		total.elapsed = max(total.elapsed, r.elapsed)
+	}
+	return rows, total
 }

@@ -65,7 +65,7 @@ func TestFastPathLockstepOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := fast.inst.Machine.Counters()
+			before := fast.inst.Machine.Metrics().Counts()
 			step := 0
 			replay := func(input []byte) {
 				step++
@@ -83,15 +83,15 @@ func TestFastPathLockstepOracle(t *testing.T) {
 			for _, s := range fw.Seeds {
 				replay(s)
 			}
-			d := fast.inst.Machine.Counters().Sub(before)
-			if d.ChainHits == 0 {
+			d := fast.inst.Machine.Metrics().Counts().Sub(before)
+			if d["emu.chain.hits"] == 0 {
 				t.Errorf("fast engine followed no exit chains over %d executions (%d dispatches)",
-					step, d.Dispatches)
+					step, d["emu.dispatch.entries"])
 			}
-			slowD := slow.inst.Machine.Counters()
-			if slowD.ChainHits != 0 || slowD.InlineFast != 0 {
+			slowD := slow.inst.Machine.Metrics().Counts()
+			if slowD["emu.chain.hits"] != 0 || slowD["emu.inline.fast"] != 0 {
 				t.Errorf("slow engine engaged fast paths: chain=%d inline=%d",
-					slowD.ChainHits, slowD.InlineFast)
+					slowD["emu.chain.hits"], slowD["emu.inline.fast"])
 			}
 		})
 	}
@@ -114,14 +114,14 @@ func TestFastPathInlineEngages(t *testing.T) {
 		if w.inst.Runtime.KCSANEngine() != nil {
 			continue // KCSAN observes clean dispatches: never armed
 		}
-		before := w.inst.Machine.Counters()
+		before := w.inst.Machine.Metrics().Counts()
 		for _, s := range fw.Seeds {
 			w.inst.Restore()
 			w.inst.Exec(s, 100_000_000)
 		}
-		if d := w.inst.Machine.Counters().Sub(before); d.InlineFast == 0 {
+		if d := w.inst.Machine.Metrics().Counts().Sub(before); d["emu.inline.fast"] == 0 {
 			t.Errorf("%s: no inline fast-path hit over %d seeds (%d mem probes, %d sanck traps)",
-				fw.Name, len(fw.Seeds), d.MemProbes, d.SanckTraps)
+				fw.Name, len(fw.Seeds), d["emu.mem.probes"], d["emu.sanck.traps"])
 		}
 	}
 }
@@ -149,14 +149,14 @@ func TestFastPathCampaignDiffSmoke(t *testing.T) {
 
 	var chained uint64
 	for _, c := range runFast.Campaigns {
-		chained += c.Engine.ChainHits
+		chained += c.Engine["emu.chain.hits"]
 	}
 	if chained == 0 {
 		t.Error("fast campaigns followed no exit chains")
 	}
 	for _, c := range runSlow.Campaigns {
 		e := c.Engine
-		if e.ChainHits != 0 || e.InlineFast != 0 || e.InlineSlow != 0 {
+		if e["emu.chain.hits"] != 0 || e["emu.inline.fast"] != 0 || e["emu.inline.slow"] != 0 {
 			t.Errorf("%s: NoFastPaths campaign engaged fast paths: %+v", c.Firmware.Name, e)
 		}
 	}
@@ -215,10 +215,11 @@ func compareCampaignRuns(t *testing.T, fast, slow []*Campaign) {
 			t.Errorf("campaign %d (%s): phases diverged: fast %+v, slow %+v",
 				i, fc.Firmware.Name, fc.Phases, sc.Phases)
 		}
-		if fc.Engine.SanckTraps != sc.Engine.SanckTraps || fc.Engine.MemProbes != sc.Engine.MemProbes {
+		fe, se := fc.Engine, sc.Engine
+		if fe["emu.sanck.traps"] != se["emu.sanck.traps"] || fe["emu.mem.probes"] != se["emu.mem.probes"] {
 			t.Errorf("campaign %d (%s): dispatch accounting diverged: fast sanck=%d mem=%d, slow sanck=%d mem=%d",
-				i, fc.Firmware.Name, fc.Engine.SanckTraps, fc.Engine.MemProbes,
-				sc.Engine.SanckTraps, sc.Engine.MemProbes)
+				i, fc.Firmware.Name, fe["emu.sanck.traps"], fe["emu.mem.probes"],
+				se["emu.sanck.traps"], se["emu.mem.probes"])
 		}
 		if len(fc.Trace) != len(sc.Trace) {
 			t.Errorf("campaign %d (%s): %d fast events vs %d slow", i, fc.Firmware.Name, len(fc.Trace), len(sc.Trace))

@@ -89,8 +89,11 @@ func TestCampaignRepeatsUseIndependentSeeds(t *testing.T) {
 	}
 }
 
-// TestWorkerStatsAccounted: the pool surfaces non-trivial per-worker
-// counters that add up to the merged campaign stats.
+// TestWorkerStatsAccounted: the worker table folds the campaigns each
+// worker ran into non-trivial per-worker counts that add up to the merged
+// campaign stats. At one worker the masked table is pinned byte for byte:
+// the fold must reproduce the counts the pool reported when each worker
+// kept its own counters.
 func TestWorkerStatsAccounted(t *testing.T) {
 	fws := buildSubset(t, "InfiniTime")
 	run, err := RunCampaignSet(fws, CampaignOptions{Execs: 350, Seed: 3, Repeats: 3, Workers: 2})
@@ -101,24 +104,38 @@ func TestWorkerStatsAccounted(t *testing.T) {
 	for _, c := range run.Campaigns {
 		wantExecs += uint64(c.Stats.Execs)
 	}
-	var total uint64
-	for _, w := range run.Workers {
-		total += w.Execs
-		if w.Jobs > 0 && w.Resets == 0 {
-			t.Errorf("worker %d ran %d jobs with zero machine resets", w.Worker, w.Jobs)
+	rows, total := foldWorkers(run.Campaigns, run.Workers)
+	var execs uint64
+	for i, r := range rows {
+		execs += r.execs
+		if r.jobs > 0 && r.resets == 0 {
+			t.Errorf("worker %d ran %d jobs with zero machine resets", run.Workers[i].Worker, r.jobs)
 		}
 	}
-	if total != wantExecs {
-		t.Errorf("per-worker execs sum to %d, campaigns report %d", total, wantExecs)
+	if execs != wantExecs || total.execs != wantExecs {
+		t.Errorf("per-worker execs sum to %d (total row %d), campaigns report %d", execs, total.execs, wantExecs)
 	}
-	if run.Workers[0].Jobs+run.Workers[1].Jobs != 3 {
-		t.Errorf("jobs split %d/%d, want 3 total", run.Workers[0].Jobs, run.Workers[1].Jobs)
+	if rows[0].jobs+rows[1].jobs != 3 {
+		t.Errorf("jobs split %d/%d, want 3 total", rows[0].jobs, rows[1].jobs)
 	}
 	stats := FormatCampaignStats(run.Campaigns, run.Workers...)
 	for _, want := range []string{"Worker pool (2 workers)", "tb-hits", "total"} {
 		if !strings.Contains(stats, want) {
 			t.Errorf("FormatCampaignStats missing %q:\n%s", want, stats)
 		}
+	}
+
+	serial, err := RunCampaignSet(fws, CampaignOptions{Execs: 350, Seed: 3, Repeats: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "Worker pool (1 workers):\n" +
+		"worker        jobs      execs    resets      tb-hits  reports    execs/s\n" +
+		"0                3       2100      2103          139        4 -/s\n" +
+		"total            3       2100      2103          139        4 -/s\n"
+	stats = MaskWallClock(FormatCampaignStats(serial.Campaigns, serial.Workers...))
+	if _, table, _ := strings.Cut(stats, "\n\n"); table != want {
+		t.Errorf("one-worker table:\n%s\nwant:\n%s", table, want)
 	}
 }
 

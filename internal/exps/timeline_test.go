@@ -3,6 +3,7 @@ package exps
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"runtime"
 	"strings"
 	"testing"
@@ -28,10 +29,11 @@ func timelineTestOpts() CampaignOptions {
 // FlushTBs cold-start rule in runX: without it, pooled-machine TB warmth
 // would leak schedule-dependent translate/chain counts into the samples.
 // Since each machine translates only its own code, every campaign's
-// translation and dispatch counters match across worker counts too.
+// engine counters but its snapshot pages match across worker counts too.
 func TestTimelineDeterministicAcrossWorkers(t *testing.T) {
 	opts := timelineTestOpts()
 	opts.Execs = 120
+	opts.Metrics = true // fills Phases, which the sample check below reads
 
 	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	type run struct {
@@ -58,9 +60,25 @@ func TestTimelineDeterministicAcrossWorkers(t *testing.T) {
 		}
 		var engine strings.Builder
 		for _, c := range cr.Campaigns {
-			e := c.Engine
-			fmt.Fprintf(&engine, "%s tb=%d/%d trans=%d disp=%d chain=%d\n", c.Firmware.Name,
-				e.TBHits, e.TBMisses, e.TransInsts, e.Dispatches, e.ChainHits)
+			// The sampler, Engine and the Phases taken from it read the
+			// engine counters by name on separate paths, so a misspelt name
+			// reads 0 on one side. The terminal sample must agree with both;
+			// only the pages of the campaign's first Restore precede the
+			// sampler's base.
+			last, p, e := c.Timeline[len(c.Timeline)-1], c.Phases, c.Engine
+			if last.Translate != p.Translate || last.Sanitize != p.Sanitize ||
+				last.Snapshot == 0 || last.Snapshot > p.Snapshot ||
+				last.ChainHits != e["emu.chain.hits"] || last.Dispatches != e["emu.dispatch.entries"] {
+				t.Errorf("workers=%d %s: terminal sample %+v disagrees with phases %+v and engine delta %v",
+					workers, c.Firmware.Name, last, p, e)
+			}
+			// A campaign's first Restore copies back the pages that the
+			// pooled machine's previous job dirtied, so its snapshot pages
+			// depend on the schedule (see Campaign.Engine). Every other
+			// count must match.
+			e = maps.Clone(e)
+			delete(e, "emu.snapshot.restore_pages")
+			fmt.Fprintf(&engine, "%s %v\n", c.Firmware.Name, e)
 		}
 		runs = append(runs, run{fp: campaignFingerprint(cr.Campaigns),
 			engine: engine.String(), emtl: timeline.Encode(jobs)})
@@ -71,7 +89,7 @@ func TestTimelineDeterministicAcrossWorkers(t *testing.T) {
 				counts[i], counts[0])
 		}
 		if runs[i].engine != runs[0].engine {
-			t.Errorf("workers=%d: translation counters diverged from workers=%d:\n%s\nvs\n%s",
+			t.Errorf("workers=%d: engine counters diverged from workers=%d:\n%s\nvs\n%s",
 				counts[i], counts[0], runs[i].engine, runs[0].engine)
 		}
 		if !bytes.Equal(runs[i].emtl, runs[0].emtl) {

@@ -239,10 +239,18 @@ func (f *Fuzzer) Run() *Result {
 	// Timeline sampling: the metric vector is filled from campaign state
 	// only — counters are deltas against the machine's state at Run start,
 	// so a pooled machine's history from earlier campaigns never leaks in.
+	// The instruments are looked up once here; a sample only reads them.
 	tl := f.cfg.Timeline
 	var sampleFill func(*timeline.Sample)
 	if tl != nil {
-		baseCtr := inst.Machine.Counters()
+		reg := inst.Machine.Metrics()
+		since := func(name string) func() uint64 {
+			c := reg.Counter(name)
+			base := c.Value()
+			return func() uint64 { return c.Value() - base }
+		}
+		trans, sanck, probes := since("emu.translate.insts"), since("emu.sanck.traps"), since("emu.mem.probes")
+		pages, chain, disp := since("emu.snapshot.restore_pages"), since("emu.chain.hits"), since("emu.dispatch.entries")
 		var baseEvals, baseArmed uint64
 		if inst.Runtime != nil && inst.Runtime.KCSANEngine() != nil {
 			baseEvals, baseArmed = inst.Runtime.KCSANEngine().Sampling()
@@ -252,13 +260,12 @@ func (f *Fuzzer) Run() *Result {
 			s.CoverBlocks = uint64(f.coverCount)
 			s.CorpusSize = uint64(len(f.corpus))
 			s.Found = uint64(len(res.Crashes))
-			d := inst.Machine.Counters().Sub(baseCtr)
-			s.Translate = d.TransInsts
+			s.Translate = trans()
 			s.Execute = res.Stats.Insts
-			s.Sanitize = d.SanckTraps + d.MemProbes
-			s.Snapshot = d.RestorePages
-			s.ChainHits = d.ChainHits
-			s.Dispatches = d.Dispatches
+			s.Sanitize = sanck() + probes()
+			s.Snapshot = pages()
+			s.ChainHits = chain()
+			s.Dispatches = disp()
 			if inst.Runtime != nil && inst.Runtime.KCSANEngine() != nil {
 				evals, armed := inst.Runtime.KCSANEngine().Sampling()
 				s.KCSANEvals = evals - baseEvals

@@ -115,6 +115,28 @@ func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
 	return h
 }
 
+// Counts is a snapshot of a registry's counters by name.
+type Counts map[string]uint64
+
+// Counts snapshots every registered counter.
+func (r *Registry) Counts() Counts {
+	out := make(Counts, len(r.counters))
+	for n, c := range r.counters {
+		out[n] = c.v
+	}
+	return out
+}
+
+// Sub returns the per-name difference c-base: the counts accumulated
+// between two snapshots. A name absent from base counts from zero.
+func (c Counts) Sub(base Counts) Counts {
+	out := make(Counts, len(c))
+	for n, v := range c {
+		out[n] = v - base[n]
+	}
+	return out
+}
+
 func (r *Registry) sortedNames() (cs, gs, hs []string) {
 	for n := range r.counters {
 		cs = append(cs, n)

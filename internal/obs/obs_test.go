@@ -161,6 +161,41 @@ func TestRegistrySnapshots(t *testing.T) {
 	}
 }
 
+// TestCountsSub: a delta between two snapshots counts every counter by
+// name. A counter registered after the base snapshot counts from zero, an
+// unchanged one reads 0 but is present, and a name never registered is
+// absent and reads 0.
+func TestCountsSub(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("emu.tb.hits").Add(5)
+	r.Counter("emu.tb.misses").Add(2)
+	base := r.Counts()
+	r.Counter("emu.tb.hits").Add(3)
+	r.Counter("emu.chain.hits").Add(7) // registered after the base
+	d := r.Counts().Sub(base)
+	for _, tc := range []struct {
+		name    string
+		want    uint64
+		present bool
+	}{
+		{"emu.tb.hits", 3, true},
+		{"emu.chain.hits", 7, true},
+		{"emu.tb.misses", 0, true},
+		{"emu.never.registered", 0, false},
+	} {
+		got, ok := d[tc.name]
+		if got != tc.want || ok != tc.present {
+			t.Errorf("%s: delta %d (present %v), want %d (present %v)", tc.name, got, ok, tc.want, tc.present)
+		}
+	}
+	if len(d) != 3 {
+		t.Errorf("delta has %d names, want 3: %v", len(d), d)
+	}
+	if base["emu.tb.hits"] != 5 {
+		t.Errorf("Sub changed the base snapshot: %v", base)
+	}
+}
+
 // TestRegistryMerge: counters and histogram buckets sum; gauges total.
 func TestRegistryMerge(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()

@@ -15,7 +15,7 @@ func goldenRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("emu.tb.hits").Add(1234)
 	r.Counter("emu.tb.misses").Add(7)
-	r.Counter("sched.worker.jobs").Add(42)
+	r.Counter("fuzz.execs").Add(42)
 	r.Gauge("campaign.corpus.size").Set(19)
 	h := r.Histogram("fuzz.exec.insts", []uint64{100, 1000, 10000})
 	h.Observe(50)

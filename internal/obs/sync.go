@@ -29,20 +29,6 @@ func (s *SyncRegistry) Do(fn func(*Registry)) {
 	fn(s.r)
 }
 
-// Text renders the locked registry's stable text snapshot.
-func (s *SyncRegistry) Text() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.r.Text()
-}
-
-// JSON renders the locked registry's deterministic JSON snapshot.
-func (s *SyncRegistry) JSON() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.r.JSON()
-}
-
 // OpenMetrics renders the locked registry in the OpenMetrics text
 // exposition — the monitor's scrape endpoint.
 func (s *SyncRegistry) OpenMetrics() []byte {

@@ -10,7 +10,8 @@ import (
 
 // TestSyncRegistryConcurrent hammers a SyncRegistry from writer
 // goroutines (the monitor's campaign callbacks) while readers scrape
-// Text/JSON/OpenMetrics — the exact shape `embsan monitor` runs under.
+// OpenMetrics or snapshot under Do — the exact shape `embsan monitor` runs
+// under.
 // Run with -race; the tier-1 suite does.
 func TestSyncRegistryConcurrent(t *testing.T) {
 	s := NewSyncRegistry()
@@ -37,9 +38,9 @@ func TestSyncRegistryConcurrent(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				switch i % 3 {
 				case 0:
-					_ = s.Text()
+					s.Do(func(r *Registry) { _ = r.Text() })
 				case 1:
-					_ = s.JSON()
+					s.Do(func(r *Registry) { _ = r.JSON() })
 				default:
 					if om := s.OpenMetrics(); !bytes.HasSuffix(om, []byte("# EOF\n")) {
 						t.Error("scrape missing # EOF")
@@ -56,7 +57,12 @@ func TestSyncRegistryConcurrent(t *testing.T) {
 	if total != writers*rounds {
 		t.Fatalf("monitor.samples = %d, want %d", total, writers*rounds)
 	}
-	if !strings.Contains(s.Text(), "monitor.campaign.0.execs") {
+	var text string
+	s.Do(func(r *Registry) { text = r.Text() })
+	if !strings.Contains(text, "monitor.campaign.0.execs") {
 		t.Fatal("gauge missing from snapshot")
+	}
+	if !bytes.Contains(s.OpenMetrics(), []byte("monitor_campaign_0_execs")) {
+		t.Fatal("gauge missing from scrape")
 	}
 }

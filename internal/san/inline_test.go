@@ -104,14 +104,15 @@ func (r *inlineRig) probe(tb testing.TB, key inlineStub, addr uint32) (settled b
 	r.m.Restore()
 	h := r.m.Hart(0)
 	h.PC, h.Regs[rA1] = pc, addr
-	before := r.m.Counters()
+	before := r.m.Metrics().Counts()
 	r.m.Run(1) // the access alone: a store may overwrite the stub's exit
-	d := r.m.Counters().Sub(before)
-	if d.MemProbes != 1 || d.InlineFast+d.InlineSlow != 1 {
+	d := r.m.Metrics().Counts().Sub(before)
+	fast, slow := d["emu.inline.fast"], d["emu.inline.slow"]
+	if d["emu.mem.probes"] != 1 || fast+slow != 1 {
 		tb.Fatalf("%+v at %#x: %d probes, inline fast=%d slow=%d; want one armed dispatch",
-			key, addr, d.MemProbes, d.InlineFast, d.InlineSlow)
+			key, addr, d["emu.mem.probes"], fast, slow)
 	}
-	return d.InlineFast == 1, pc
+	return fast == 1, pc
 }
 
 // checkSettledNoop is the soundness property: an access the template

@@ -11,17 +11,17 @@
 // worker happens to claim which job.
 //
 // Race invariant: one Machine per goroutine, merge by index. Each worker
-// exclusively owns its pooled machines and its counters; a job writes its
-// result only at its own index; the caller reads merged results in index
-// order only after Run returns. The only cross-goroutine traffic is the
-// atomic job cursor and the per-index result/error slots, each touched by
-// exactly one job.
+// exclusively owns its pooled machines; a job writes its result only at its
+// own index; the caller reads merged results in index order only after Run
+// returns. The only cross-goroutine traffic is the atomic job cursor and the
+// per-index result/error slots, each touched by exactly one job.
 package sched
 
 import (
 	"container/list"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,45 +43,19 @@ type Options struct {
 
 const defaultPoolCap = 4
 
-// Counters is a snapshot of one worker's accounting, surfaced by the
-// campaign stat formatters. Jobs bump the live instruments (Worker.Inst)
-// instead; the snapshot is taken once per worker when Run returns.
-type Counters struct {
-	Jobs    int    // jobs completed
-	Execs   uint64 // fuzzer executions driven
-	Resets  uint64 // snapshot restores (machine resets)
-	TBHits  uint64 // translation-block cache hits
-	Reports uint64 // sanitizer/fault findings recorded
-	Frames  uint64 // backtrace frames attached to findings (forensics)
-	// Elapsed is the worker's wall-clock lifetime. It is view-side only —
-	// throughput columns divide Execs by it — and must never feed any
-	// byte-identity oracle (see exps.MaskWallClock).
-	Elapsed time.Duration
-}
-
-// WorkerStats is one worker's final accounting.
+// WorkerStats is one worker's final accounting. Per-worker work counts
+// are folded from the campaigns each worker ran (see exps.Campaign.Worker).
 type WorkerStats struct {
 	Worker int
-	Counters
-}
-
-// Instruments is the worker's live accounting, backed by the worker's
-// obs.Registry. Each counter is owned by exactly one worker goroutine, so
-// bumping it is race-free without atomics.
-type Instruments struct {
-	Jobs    *obs.Counter
-	Execs   *obs.Counter
-	Resets  *obs.Counter
-	TBHits  *obs.Counter
-	Reports *obs.Counter
-	Frames  *obs.Counter
+	// Elapsed is the worker's wall-clock lifetime. It is view-side only —
+	// throughput columns divide execs by it — and must never feed any
+	// byte-identity oracle (see exps.MaskWallClock).
+	Elapsed time.Duration
 }
 
 // Worker is the per-goroutine context handed to every job it runs.
 type Worker struct {
 	id      int
-	metrics *obs.Registry
-	inst    Instruments
 	ring    *obs.Ring
 	sampler *timeline.Sampler
 	start   time.Time
@@ -99,30 +73,12 @@ func newWorker(id, poolCap int) *Worker {
 	if poolCap <= 0 {
 		poolCap = defaultPoolCap
 	}
-	w := &Worker{id: id, metrics: obs.NewRegistry(), start: time.Now(),
-		poolCap: poolCap,
-		pool:    make(map[string]*list.Element), order: list.New()}
-	w.inst = Instruments{
-		Jobs:    w.metrics.Counter("sched.worker.jobs"),
-		Execs:   w.metrics.Counter("sched.worker.execs"),
-		Resets:  w.metrics.Counter("sched.worker.resets"),
-		TBHits:  w.metrics.Counter("sched.worker.tb_hits"),
-		Reports: w.metrics.Counter("sched.worker.reports"),
-		Frames:  w.metrics.Counter("sched.worker.frames"),
-	}
-	return w
+	return &Worker{id: id, start: time.Now(), poolCap: poolCap,
+		pool: make(map[string]*list.Element), order: list.New()}
 }
 
 // ID returns the worker's pool index (0-based).
 func (w *Worker) ID() int { return w.id }
-
-// Inst exposes the worker's live accounting instruments for jobs to bump.
-func (w *Worker) Inst() Instruments { return w.inst }
-
-// Metrics is the worker-private registry behind Inst. Callers may register
-// additional worker-scoped instruments in it and merge registries across
-// workers after Run returns.
-func (w *Worker) Metrics() *obs.Registry { return w.metrics }
 
 // TraceRing returns the worker's event ring, lazily allocated at the given
 // capacity (events). The ring is worker-private; jobs that capture traces
@@ -158,19 +114,6 @@ func (w *Worker) TimelineSampler(interval uint64, maxSamples int) *timeline.Samp
 	return w.sampler
 }
 
-// stats snapshots the live instruments into the stable Counters form.
-func (w *Worker) stats() Counters {
-	return Counters{
-		Jobs:    int(w.inst.Jobs.Value()),
-		Execs:   w.inst.Execs.Value(),
-		Resets:  w.inst.Resets.Value(),
-		TBHits:  w.inst.TBHits.Value(),
-		Reports: w.inst.Reports.Value(),
-		Frames:  w.inst.Frames.Value(),
-		Elapsed: time.Since(w.start),
-	}
-}
-
 // Pooled returns the worker-local value for key, constructing it with
 // build on first use. Values are private to one worker — this is what
 // upholds the one-Machine-per-goroutine invariant — and the least
@@ -198,7 +141,9 @@ func Pooled[T any](w *Worker, key string, build func() (T, error)) (T, error) {
 // stats. fn must uphold the determinism contract above. When any job
 // fails, workers stop claiming new jobs, in-flight jobs finish, and the
 // error of the lowest failing index is returned (deterministic across
-// schedules).
+// schedules). A job that panics fails with an error whose first line names
+// its index and the panic value, followed by the Go stack; the process and
+// the other workers survive it.
 func Run(opts Options, n int, fn func(w *Worker, index int) error) ([]WorkerStats, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("sched: negative job count %d", n)
@@ -214,16 +159,14 @@ func Run(opts Options, n int, fn func(w *Worker, index int) error) ([]WorkerStat
 		return nil, nil
 	}
 
-	errs := make([]error, n)
 	if workers <= 1 {
 		// Serial path: same pooling and seed derivation, no goroutines.
 		w := newWorker(0, opts.PoolCap)
-		for i := 0; i < n; i++ {
-			if err := fn(w, i); err != nil {
-				return []WorkerStats{{Worker: 0, Counters: w.stats()}}, err
-			}
+		var err error
+		for i := 0; i < n && err == nil; i++ {
+			err = runJob(fn, w, i)
 		}
-		return []WorkerStats{{Worker: 0, Counters: w.stats()}}, nil
+		return []WorkerStats{{Worker: 0, Elapsed: time.Since(w.start)}}, err
 	}
 
 	var (
@@ -231,6 +174,7 @@ func Run(opts Options, n int, fn func(w *Worker, index int) error) ([]WorkerStat
 		aborted atomic.Bool
 		wg      sync.WaitGroup
 	)
+	errs := make([]error, n)
 	stats := make([]WorkerStats, workers)
 	for wi := 0; wi < workers; wi++ {
 		wg.Add(1)
@@ -242,12 +186,12 @@ func Run(opts Options, n int, fn func(w *Worker, index int) error) ([]WorkerStat
 				if i >= n {
 					break
 				}
-				if err := fn(w, i); err != nil {
+				if err := runJob(fn, w, i); err != nil {
 					errs[i] = err
 					aborted.Store(true)
 				}
 			}
-			stats[wi] = WorkerStats{Worker: wi, Counters: w.stats()}
+			stats[wi] = WorkerStats{Worker: wi, Elapsed: time.Since(w.start)}
 		}(wi)
 	}
 	wg.Wait()
@@ -259,22 +203,14 @@ func Run(opts Options, n int, fn func(w *Worker, index int) error) ([]WorkerStat
 	return stats, nil
 }
 
-// MergeStats sums per-worker counters into one total. Elapsed is the
-// maximum across workers — the pool's wall-clock makespan — because the
-// workers ran concurrently and summing their lifetimes would overstate
-// the denominator of any aggregate throughput figure.
-func MergeStats(ws []WorkerStats) Counters {
-	var total Counters
-	for _, w := range ws {
-		total.Jobs += w.Jobs
-		total.Execs += w.Execs
-		total.Resets += w.Resets
-		total.TBHits += w.TBHits
-		total.Reports += w.Reports
-		total.Frames += w.Frames
-		if w.Elapsed > total.Elapsed {
-			total.Elapsed = w.Elapsed
+// runJob runs job i, turning a panic into that job's error. The worker's
+// pooled values may be left mid-job by the panic; Run stops claiming jobs
+// after any failure and drops the worker, so none of them is reused.
+func runJob(fn func(*Worker, int) error, w *Worker, i int) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("sched: job %d panicked: %v\n%s", i, p, debug.Stack())
 		}
-	}
-	return total
+	}()
+	return fn(w, i)
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -13,9 +14,12 @@ func TestRunCompletesAllJobs(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 97
 			var ran [n]atomic.Int32
+			// Each worker bumps only its own slot, so the per-worker job
+			// counts need no synchronisation.
+			jobs := make([]int, max(workers, runtime.GOMAXPROCS(0)))
 			ws, err := Run(Options{Workers: workers}, n, func(w *Worker, i int) error {
 				ran[i].Add(1)
-				w.Inst().Jobs.Inc()
+				jobs[w.ID()]++
 				return nil
 			})
 			if err != nil {
@@ -26,8 +30,15 @@ func TestRunCompletesAllJobs(t *testing.T) {
 					t.Errorf("job %d ran %d times", i, got)
 				}
 			}
-			if total := MergeStats(ws); total.Jobs != n {
-				t.Errorf("merged jobs = %d, want %d", total.Jobs, n)
+			total := 0
+			for wi, w := range ws {
+				if w.Worker != wi {
+					t.Errorf("stats[%d] is worker %d", wi, w.Worker)
+				}
+				total += jobs[w.Worker]
+			}
+			if total != n {
+				t.Errorf("merged jobs = %d, want %d", total, n)
 			}
 		})
 	}
@@ -64,6 +75,36 @@ func TestRunErrorIsLowestIndex(t *testing.T) {
 		if got := err.Error(); got != "job 3 failed" {
 			t.Errorf("workers=%d: err = %q, want job 3", workers, got)
 		}
+	}
+}
+
+// TestRunJobPanicIsError: a panicking job fails like an erroring one. The
+// process survives, the error's first line names the job and the panic
+// value at every worker count, and the Go stack follows it.
+func TestRunJobPanicIsError(t *testing.T) {
+	var first []string
+	for _, workers := range []int{1, 4} {
+		_, err := Run(Options{Workers: workers}, 40, func(w *Worker, i int) error {
+			if i == 3 {
+				var m map[string]int
+				m["boom"]++ // a host panic: assignment to a nil map
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatalf("workers=%d: panic not reported", workers)
+		}
+		line, stack, _ := strings.Cut(err.Error(), "\n")
+		if !strings.Contains(line, "job 3") || !strings.Contains(line, "nil map") {
+			t.Errorf("workers=%d: first line %q does not name job 3 and the panic", workers, line)
+		}
+		if !strings.Contains(stack, "goroutine") || !strings.Contains(stack, "TestRunJobPanicIsError") {
+			t.Errorf("workers=%d: no stack after the first line:\n%s", workers, stack)
+		}
+		first = append(first, line)
+	}
+	if first[0] != first[1] {
+		t.Errorf("first line differs across worker counts: %q vs %q", first[0], first[1])
 	}
 }
 
