@@ -84,9 +84,6 @@ func TestCampaignTraceWraparound(t *testing.T) {
 	if err := obs.ValidateChrome(obs.ChromeTrace(JobTraces(cr.Campaigns))); err != nil {
 		t.Fatalf("wrapped trace fails Chrome validation: %v", err)
 	}
-	if _, _, err := obs.DecodeEvents(obs.EncodeEvents(c.Trace, c.TraceDropped)); err != nil {
-		t.Fatalf("wrapped trace fails binary round trip: %v", err)
-	}
 }
 
 // TestTraceOffIsNoop: enabling then disabling observability leaves campaign

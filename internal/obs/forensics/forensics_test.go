@@ -153,57 +153,3 @@ func TestLastWriters(t *testing.T) {
 		t.Errorf("last writer at icnt %d, want 100", last.ICnt)
 	}
 }
-
-func TestCodecRoundTrip(t *testing.T) {
-	recs := Fold([]obs.Event{
-		ev(10, obs.EvAllocExit, 0x80, 0x2000, 32, 0),
-		frame(10, 0x80, 0x140, 0),
-		frame(10, 0x80, 0x104, 1),
-		ev(30, obs.EvFree, 0x90, 0x2000, 0, 1),
-		ev(40, obs.EvReport, 0x300, 0x2004, 3, 1),
-	})
-	b, err := EncodeRecords(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeRecords(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, recs) {
-		t.Fatalf("decode(encode(recs)) != recs:\n got %v\nwant %v", back, recs)
-	}
-	b2, err := EncodeRecords(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b2) != string(b) {
-		t.Fatal("re-encode is not byte-identical")
-	}
-}
-
-func TestCodecRejectsMalformed(t *testing.T) {
-	good, err := EncodeRecords([]Record{{Event: ev(1, obs.EvFree, 2, 3, 0, 0)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string][]byte{
-		"short":          good[:8],
-		"bad magic":      append([]byte("XXXX"), good[4:]...),
-		"bad version":    append(append([]byte{}, good[:4]...), append([]byte{9, 0}, good[6:]...)...),
-		"trailing bytes": append(append([]byte{}, good...), 0),
-		"truncated":      good[:len(good)-1],
-		// A header count far beyond what the stream can hold must be
-		// rejected before anything is sized from it.
-		"huge count": []byte("EMFX\x01\x00\x00\x00\x00\x00\x0099\x00"),
-	}
-	for name, b := range cases {
-		if _, err := DecodeRecords(b); err == nil {
-			t.Errorf("%s: decode accepted malformed input", name)
-		}
-	}
-	// A bare frame event may not appear as a top-level record.
-	if _, err := EncodeRecords([]Record{{Event: ev(1, obs.EvFrame, 2, 3, 0, 0)}}); err == nil {
-		t.Error("encode accepted a bare frame record")
-	}
-}

@@ -61,9 +61,6 @@ func (h *Histogram) Count() uint64 { return h.n }
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() uint64 { return h.sum }
 
-// Buckets returns the bounds and per-bucket counts (last count is +Inf).
-func (h *Histogram) Buckets() ([]uint64, []uint64) { return h.bounds, h.counts }
-
 // Registry holds named instruments. Names follow the
 // "<subsystem>.<object>.<metric>" scheme (e.g. "emu.tb.hits"); registration
 // is idempotent, so instruments can be looked up again by name. Snapshots

@@ -37,15 +37,6 @@ func (p *Profile) TotalInsts() uint64 {
 	return t
 }
 
-// TotalDispatches returns the total recorded dispatch count.
-func (p *Profile) TotalDispatches() uint64 {
-	var t uint64
-	for _, n := range p.disp {
-		t += n
-	}
-	return t
-}
-
 // FuncRange is one recovered static function, as produced by
 // internal/static function recovery ([Entry, End) with the symbol or
 // synthesised name). The profiler takes ranges rather than an Analysis so
@@ -67,45 +58,6 @@ func attribute(funcs []FuncRange, pc uint32) string {
 		return funcs[i-1].Name
 	}
 	return unknownFrame
-}
-
-// FuncCost is one function's attributed totals.
-type FuncCost struct {
-	Name       string
-	Insts      uint64
-	Dispatches uint64
-}
-
-// ByFunc folds the per-PC profile onto functions. funcs must be sorted by
-// Entry (static.Analysis.Funcs already is). Rows are sorted by descending
-// instruction cost, ties broken by name, so the output is deterministic.
-func (p *Profile) ByFunc(funcs []FuncRange) []FuncCost {
-	agg := map[string]*FuncCost{}
-	get := func(name string) *FuncCost {
-		fc, ok := agg[name]
-		if !ok {
-			fc = &FuncCost{Name: name}
-			agg[name] = fc
-		}
-		return fc
-	}
-	for pc, n := range p.insts {
-		get(attribute(funcs, pc)).Insts += n
-	}
-	for pc, n := range p.disp {
-		get(attribute(funcs, pc)).Dispatches += n
-	}
-	out := make([]FuncCost, 0, len(agg))
-	for _, fc := range agg {
-		out = append(out, *fc)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Insts != out[j].Insts {
-			return out[i].Insts > out[j].Insts
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
 }
 
 // Folded renders the flamegraph-compatible folded-stack form: one

@@ -5,12 +5,11 @@ import (
 	"fmt"
 )
 
-// EMTL: the canonical binary timeline format. Like the EMTR trace and
-// EMFX forensics codecs, the encoding is canonical — there is exactly one
-// byte string for a given merged timeline, and decoding rejects anything
-// that is not such a byte string — so encode∘decode and decode∘encode
-// are both identities on their domains (FuzzTimelineRoundTrip enforces
-// this).
+// EMTL: the canonical binary timeline format. The encoding is canonical —
+// there is exactly one byte string for a given merged timeline, and
+// decoding rejects anything that is not such a byte string — so
+// encode∘decode and decode∘encode are both identities on their domains
+// (FuzzTimelineRoundTrip enforces this).
 //
 //	header: "EMTL" | u16 version | u16 reserved=0 | u32 jobCount
 //	job:    u32 id | u64 interval | u32 nSamples | u32 nMarks
@@ -104,11 +103,13 @@ func Decode(b []byte) ([]JobTimeline, error) {
 			ID:       int(binary.LittleEndian.Uint32(b[off:])),
 			Interval: binary.LittleEndian.Uint64(b[off+4:]),
 		}
-		nSamples := int(binary.LittleEndian.Uint32(b[off+12:]))
-		nMarks := int(binary.LittleEndian.Uint32(b[off+16:]))
+		nSamples := binary.LittleEndian.Uint32(b[off+12:])
+		nMarks := binary.LittleEndian.Uint32(b[off+16:])
 		off += tlJobHeaderSize
-		need := tlSampleSize*nSamples + tlMarkSize*nMarks
-		if len(b)-off < need {
+		// Bound the counts in 64-bit arithmetic: on a 32-bit build an
+		// int(uint32) count can wrap negative and skip the body.
+		need := tlSampleSize*uint64(nSamples) + tlMarkSize*uint64(nMarks)
+		if uint64(len(b)-off) < need {
 			return nil, fmt.Errorf("timeline: job %d body truncated (%d of %d bytes)", ji, len(b)-off, need)
 		}
 		if nSamples > 0 {

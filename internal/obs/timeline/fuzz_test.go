@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzTimelineRoundTrip fuzzes the EMTL codec the same way the obs
-// package fuzzes EMTR: any input that decodes must re-encode to exactly
-// the same bytes (the encoding is canonical), and the decoded jobs must
-// survive a second round trip. Inputs that do not decode must fail with
-// an error, never a panic.
+// FuzzTimelineRoundTrip fuzzes the EMTL codec: any input that decodes
+// must re-encode to exactly the same bytes (the encoding is canonical),
+// and the decoded jobs must survive a second round trip. Inputs that do
+// not decode must fail with an error, never a panic.
 func FuzzTimelineRoundTrip(f *testing.F) {
 	f.Add(Encode(nil))
 	f.Add(Encode(mkJobs()))

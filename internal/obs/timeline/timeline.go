@@ -29,9 +29,9 @@ import "embsan/internal/obs"
 
 // Sample is the fixed metric vector captured at each sampling point. All
 // fields are cumulative campaign-relative counts (raw counters, never
-// rates — rates are derived at export time so merged or decimated
+// rates — readers derive rates from them, so merged or decimated
 // timelines stay exact). The vector is fixed-width on purpose: the EMTL
-// codec serialises it as 15 little-endian u64 words.
+// codec serialises it as sampleWords (13) little-endian u64 words.
 type Sample struct {
 	// VClock is the sample timestamp: cumulative retired guest
 	// instructions since the campaign started.
@@ -66,25 +66,6 @@ type Sample struct {
 // sampleWords is the number of u64 words in the fixed vector (codec.go
 // depends on it; extending Sample means bumping the EMTL version).
 const sampleWords = 13
-
-// ChainHitRate returns the fraction of block transfers resolved by an
-// exit chain; ok is false when no transfers were recorded.
-func (s Sample) ChainHitRate() (float64, bool) {
-	t := s.ChainHits + s.Dispatches
-	if t == 0 {
-		return 0, false
-	}
-	return float64(s.ChainHits) / float64(t), true
-}
-
-// ArmingRate returns the fraction of KCSAN sampling decisions that armed
-// a watchpoint; ok is false when KCSAN never evaluated an access.
-func (s Sample) ArmingRate() (float64, bool) {
-	if s.KCSANEvals == 0 {
-		return 0, false
-	}
-	return float64(s.KCSANArmed) / float64(s.KCSANEvals), true
-}
 
 // JobTimeline is one campaign's sampled timeline, addressed by the
 // campaign index the scheduler merges results on. Concatenating

@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -257,23 +258,6 @@ func TestLiveHooks(t *testing.T) {
 	}
 }
 
-func TestRates(t *testing.T) {
-	s := Sample{ChainHits: 3, Dispatches: 1, KCSANEvals: 8, KCSANArmed: 2}
-	if r, ok := s.ChainHitRate(); !ok || r != 0.75 {
-		t.Fatalf("ChainHitRate = %v, %v", r, ok)
-	}
-	if r, ok := s.ArmingRate(); !ok || r != 0.25 {
-		t.Fatalf("ArmingRate = %v, %v", r, ok)
-	}
-	var zero Sample
-	if _, ok := zero.ChainHitRate(); ok {
-		t.Fatal("zero ChainHitRate ok")
-	}
-	if _, ok := zero.ArmingRate(); ok {
-		t.Fatal("zero ArmingRate ok")
-	}
-}
-
 func mkJobs() []JobTimeline {
 	samples := mkSamples(12, 4, 1000)
 	return []JobTimeline{
@@ -318,42 +302,70 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRejects: every strict prefix of a valid multi-job artefact is
+// rejected, and every single-byte change is either rejected or decodes to
+// jobs that re-encode to exactly the changed bytes. The named cases must be
+// rejected outright; the count bombs decode to an empty job on a 32-bit
+// build unless the counts are bounded before they become an int.
 func TestDecodeRejects(t *testing.T) {
-	good := Encode(mkJobs())
-	cases := map[string][]byte{
-		"empty":       {},
-		"short":       good[:8],
-		"bad magic":   append([]byte("EMTR"), good[4:]...),
-		"bad version": func() []byte { b := append([]byte(nil), good...); b[4] = 9; return b }(),
-		"reserved":    func() []byte { b := append([]byte(nil), good...); b[6] = 1; return b }(),
-		"truncated":   good[:len(good)-3],
-		"trailing":    append(append([]byte(nil), good...), 0),
-		"job bomb":    func() []byte { b := append([]byte(nil), good[:12]...); b[8] = 0xff; b[9] = 0xff; return b }(),
-		"bad mark": func() []byte {
-			b := append([]byte(nil), good...)
-			// Last 17 bytes are the final mark of job 0... jobs 1 and 2
-			// have no marks, so the last mark byte region belongs to job 0.
-			// Corrupt the kind byte of the first mark instead: locate it by
-			// re-encoding a marks-only job.
-			return b
-		}(),
-	}
-	delete(cases, "bad mark")
-	for name, data := range cases {
-		if _, err := Decode(data); err == nil {
-			t.Errorf("%s: decode accepted malformed input", name)
+	good := Encode([]JobTimeline{
+		{ID: 0, Interval: 1000, Samples: mkSamples(2, 2, 1000), Marks: []Mark{
+			{Kind: MarkCoverNovelty, VClock: 1000, Value: 11},
+			{Kind: MarkStall, VClock: 2000, Value: 11},
+		}},
+		{ID: 1, Interval: 2000, Samples: mkSamples(1, 1, 2000)},
+		{ID: 2, Interval: 500},
+	})
+	for n := range good {
+		if _, err := Decode(good[:n]); err == nil {
+			t.Fatalf("strict prefix of %d/%d bytes decoded", n, len(good))
 		}
 	}
-	// Unknown mark kind, constructed directly.
-	j := []JobTimeline{{ID: 0, Interval: 1, Marks: []Mark{{Kind: MarkStall, VClock: 1, Value: 2}}}}
-	b := Encode(j)
-	b[len(b)-tlMarkSize] = 0xee
-	if _, err := Decode(b); err == nil {
-		t.Error("decode accepted unknown mark kind")
+	mut := append([]byte(nil), good...)
+	for i := range mut {
+		for d := 1; d < 256; d++ {
+			mut[i] = good[i] + byte(d)
+			if dec, err := Decode(mut); err == nil && !bytes.Equal(Encode(dec), mut) {
+				t.Fatalf("byte %d set to %#x decodes to a different re-encoding", i, mut[i])
+			}
+		}
+		mut[i] = good[i]
 	}
-	b[len(b)-tlMarkSize] = 0
-	if _, err := Decode(b); err == nil {
-		t.Error("decode accepted zero mark kind")
+
+	set := func(i int, v byte) []byte {
+		b := append([]byte(nil), good...)
+		b[i] = v
+		return b
+	}
+	counts := func(nSamples, nMarks uint32) []byte {
+		b := Encode([]JobTimeline{{ID: 0, Interval: 1}})
+		binary.LittleEndian.PutUint32(b[tlHeaderSize+12:], nSamples)
+		binary.LittleEndian.PutUint32(b[tlHeaderSize+16:], nMarks)
+		return b
+	}
+	markKind := func(k byte) []byte {
+		b := Encode([]JobTimeline{{ID: 0, Interval: 1, Marks: []Mark{{Kind: MarkStall, VClock: 1, Value: 2}}}})
+		b[len(b)-tlMarkSize] = k
+		return b
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"bad magic", set(3, 'R')},
+		{"bad version", set(4, 9)},
+		{"reserved", set(6, 1)},
+		{"trailing", append(append([]byte(nil), good...), 0)},
+		{"job bomb", append(Encode(nil)[:8], 0xff, 0xff, 0, 0)},
+		{"sample count bomb", counts(0x80000000, 0)},
+		{"mark count bomb", counts(0, 0x80000000)},
+		{"sample and mark count bomb", counts(0xffffffff, 0xffffffff)},
+		{"zero mark kind", markKind(0)},
+		{"unknown mark kind", markKind(0xee)},
+	} {
+		if _, err := Decode(c.data); err == nil {
+			t.Errorf("%s: decode accepted malformed input", c.name)
+		}
 	}
 }
 

@@ -35,13 +35,11 @@ type Options struct {
 	// Workers is the pool size. <= 0 means GOMAXPROCS; 1 runs every job
 	// inline on the calling goroutine (the serial path).
 	Workers int
-	// PoolCap bounds how many warmed values each worker keeps (default 4).
-	// Eviction is least-recently-used and only affects warm-up cost, never
-	// results.
-	PoolCap int
 }
 
-const defaultPoolCap = 4
+// poolCap bounds how many warmed values each worker keeps. Eviction is
+// least-recently-used and only affects warm-up cost, never results.
+const poolCap = 4
 
 // WorkerStats is one worker's final accounting. Per-worker work counts
 // are folded from the campaigns each worker ran (see exps.Campaign.Worker).
@@ -59,7 +57,6 @@ type Worker struct {
 	ring    *obs.Ring
 	sampler *timeline.Sampler
 	start   time.Time
-	poolCap int
 	pool    map[string]*list.Element
 	order   *list.List // front = most recently used
 }
@@ -69,12 +66,8 @@ type poolEntry struct {
 	value any
 }
 
-func newWorker(id, poolCap int) *Worker {
-	if poolCap <= 0 {
-		poolCap = defaultPoolCap
-	}
-	return &Worker{id: id, start: time.Now(), poolCap: poolCap,
-		pool: make(map[string]*list.Element), order: list.New()}
+func newWorker(id int) *Worker {
+	return &Worker{id: id, start: time.Now(), pool: make(map[string]*list.Element), order: list.New()}
 }
 
 // ID returns the worker's pool index (0-based).
@@ -117,7 +110,7 @@ func (w *Worker) TimelineSampler(interval uint64, maxSamples int) *timeline.Samp
 // Pooled returns the worker-local value for key, constructing it with
 // build on first use. Values are private to one worker — this is what
 // upholds the one-Machine-per-goroutine invariant — and the least
-// recently used value is dropped once the worker holds more than PoolCap.
+// recently used value is dropped once the worker holds more than poolCap.
 func Pooled[T any](w *Worker, key string, build func() (T, error)) (T, error) {
 	if el, ok := w.pool[key]; ok {
 		w.order.MoveToFront(el)
@@ -129,7 +122,7 @@ func Pooled[T any](w *Worker, key string, build func() (T, error)) (T, error) {
 		return zero, err
 	}
 	w.pool[key] = w.order.PushFront(&poolEntry{key: key, value: v})
-	for w.order.Len() > w.poolCap {
+	for w.order.Len() > poolCap {
 		oldest := w.order.Back()
 		w.order.Remove(oldest)
 		delete(w.pool, oldest.Value.(*poolEntry).key)
@@ -161,7 +154,7 @@ func Run(opts Options, n int, fn func(w *Worker, index int) error) ([]WorkerStat
 
 	if workers <= 1 {
 		// Serial path: same pooling and seed derivation, no goroutines.
-		w := newWorker(0, opts.PoolCap)
+		w := newWorker(0)
 		var err error
 		for i := 0; i < n && err == nil; i++ {
 			err = runJob(fn, w, i)
@@ -180,7 +173,7 @@ func Run(opts Options, n int, fn func(w *Worker, index int) error) ([]WorkerStat
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			w := newWorker(wi, opts.PoolCap)
+			w := newWorker(wi)
 			for !aborted.Load() {
 				i := int(cursor.Add(1)) - 1
 				if i >= n {

@@ -109,9 +109,9 @@ func TestRunJobPanicIsError(t *testing.T) {
 }
 
 // TestPooledBuildsOncePerWorker: the pool memoises per key and evicts LRU
-// beyond PoolCap.
+// beyond poolCap.
 func TestPooledBuildsOncePerWorker(t *testing.T) {
-	w := newWorker(0, 2)
+	w := newWorker(0)
 	builds := 0
 	get := func(key string) string {
 		v, err := Pooled(w, key, func() (string, error) {
@@ -129,20 +129,26 @@ func TestPooledBuildsOncePerWorker(t *testing.T) {
 	if builds != 2 {
 		t.Fatalf("builds = %d, want 2", builds)
 	}
-	get("c") // evicts "a" (cap 2, LRU)
-	get("b") // still pooled
-	if builds != 3 {
-		t.Fatalf("builds = %d, want 3 (b evicted too early)", builds)
-	}
-	get("a") // rebuilt after eviction
+	get("c")
+	get("d") // the pool is full: d, c, b, a
+	get("a") // refreshes a: a, d, c, b
 	if builds != 4 {
-		t.Fatalf("builds = %d, want 4 (a not evicted)", builds)
+		t.Fatalf("builds = %d, want 4 (evicted before the cap)", builds)
+	}
+	get("e") // evicts b, the least recently used
+	get("a") // still pooled
+	if builds != 5 {
+		t.Fatalf("builds = %d, want 5 (a evicted too early)", builds)
+	}
+	get("b") // rebuilt after eviction
+	if builds != 6 {
+		t.Fatalf("builds = %d, want 6 (b not evicted)", builds)
 	}
 }
 
 // TestPooledBuildErrorNotCached: a failed build is retried.
 func TestPooledBuildErrorNotCached(t *testing.T) {
-	w := newWorker(0, 0)
+	w := newWorker(0)
 	calls := 0
 	build := func() (int, error) {
 		calls++
